@@ -62,6 +62,9 @@ from calendar_event_entity_extraction_ray.stages.semdedup import (
 )
 
 _MANIFEST = "_EMBMANIFEST.json"
+# rows per side of one similarity block: a block is at most CHUNK x CHUNK
+# float64 (512 MB) whatever the size of a cell's stored files or epoch
+CHUNK = 8192
 
 
 def _load_manifest(store_dir: str) -> dict:
@@ -95,32 +98,34 @@ def _cell_files(store_dir: str, m: dict, exclude_epoch: Optional[str]
 
 
 def cross_hit_mask(stored_unit: np.ndarray, mat_unit: np.ndarray,
-                   tau: float, chunk: int = 8192) -> np.ndarray:
+                   tau: float, chunk: int = CHUNK) -> np.ndarray:
     """True where a ``mat_unit`` row has cosine >= tau against ANY
     ``stored_unit`` row (both unit-normalized). OR-ing this over stored
     slices equals one pass over their concatenation, which is what lets
     the distributed fold STREAM a cell's stored vectors row-group by
     row-group (bounded memory even after compaction folds a cell into
     one large file) while the golden mirror calls the same kernel over
-    its in-memory kept arrays."""
+    its in-memory kept arrays. Both sides are chunked, so a similarity
+    block is at most ``chunk`` x ``chunk``."""
     n = len(mat_unit)
     hit = np.zeros(n, dtype=bool)
     for lo in range(0, n, chunk):
         hi = min(lo + chunk, n)
-        hit[lo:hi] = ((stored_unit @ mat_unit[lo:hi].T)
-                      >= tau).any(axis=0)
+        for s_lo in range(0, len(stored_unit), chunk):
+            block = stored_unit[s_lo:s_lo + chunk] @ mat_unit[lo:hi].T
+            hit[lo:hi] |= (block >= tau).any(axis=0)
     return hit
 
 
 def incremental_drop_mask(ids: np.ndarray, mat: np.ndarray,
                           stored: Optional[np.ndarray],
                           tau: float,
-                          chunk: int = 8192) -> np.ndarray:
+                          chunk: int = CHUNK) -> np.ndarray:
     """True where an epoch row is a near-dup: cos >= tau against any
     STORED row (prior epochs always win) or any smaller-id row of the
     same epoch/cell. ``ids`` must be sorted ascending with ``mat``
-    aligned; rows are unit-normalized here. Chunked so memory is
-    O(chunk * max(|stored|, |epoch-cell|)) — the shared kernel of the
+    aligned; rows are unit-normalized here. Chunked so a similarity
+    block is at most ``chunk`` x ``chunk`` — the shared kernel of the
     distributed fold AND the single-process golden mirror."""
     n = len(ids)
     drop = np.zeros(n, dtype=bool)
@@ -135,7 +140,7 @@ def incremental_drop_mask(ids: np.ndarray, mat: np.ndarray,
         # earlier same-epoch rows: every chunk before this one, then the
         # strict upper triangle within the chunk
         if lo:
-            drop[lo:hi] |= ((mu[:lo] @ mu[lo:hi].T) >= tau).any(axis=0)
+            drop[lo:hi] |= cross_hit_mask(mu[:lo], mu[lo:hi], tau, chunk)
         s_self = np.triu(mu[lo:hi] @ mu[lo:hi].T >= tau, k=1)
         drop[lo:hi] |= s_self.any(axis=0)
     return drop
@@ -265,7 +270,7 @@ def dedup_epoch(
             mu = _unit_rows(np.asarray(mat_c, np.float64))
             for f in cell_files.get(int(c), []):
                 pf = pq.ParquetFile(f)
-                for rb in pf.iter_batches(batch_size=65536,
+                for rb in pf.iter_batches(batch_size=CHUNK,
                                           columns=[vec_col]):
                     flat = (rb.column(0).flatten()
                             .to_numpy(zero_copy_only=False))

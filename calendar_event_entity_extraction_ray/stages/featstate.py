@@ -1,66 +1,29 @@
 """Epoch-incremental decayed counters — the feature-store serving state
-for `stages/windows.py:decayed_counts` (recency-weighted per-key
-activity), maintained across crawl epochs without ever re-reading old
-events.
+of `stages/windows.py:decayed_counts`, kept across crawl epochs without
+re-reading old events (epoch protocol: stages/keyedstate.py).
 
-The trick that makes increments EXACT: buckets are ABSOLUTE half-life
-indexes (``abs_k = ts_us // half_life_us``), not offsets from the
-reference time. The per-key state is then a tiny (key, abs_k, n) count
-table (<= cap+1 live buckets per key) that epochs merely ADD to; the
-reference shift costs nothing at write time, and the decay weight
+Increments are EXACT because buckets are ABSOLUTE half-life indexes
+(``abs_k = ts_us // half_life_us``), not offsets from the reference
+time: the state is a (key, abs_k, n) count table (<= cap+1 live buckets
+per key) that epochs only ADD to, and the decay weight
 ``2^(cap - min(ref_k - abs_k, cap))`` is applied at READ time from the
-stored ref. Buckets at or beyond the cap horizon clamp to
+stored ``ref_us``. Buckets at or beyond the cap horizon clamp to
 ``ref_k - cap`` when touched — exact for every FUTURE reference because
-the ref only advances (their weight is pinned at 2^0 forever).
-
-Layout (the repo's store rules: workers write data files, the driver
-records them; versioned data + state-JSON commit point; re-running a
-recorded epoch is a no-op):
-
-    state_dir/_DCSTATE.json      {"epochs", "ref_us", "half_life_us",
-                                  "cap", "num_partitions",
-                                  "files": [rel paths]}
-    state_dir/counts.epoch=<e>/part=<k>/c-<uuid>.parquet
-
-Each epoch folds (previous listed files ∪ epoch partials) through ONE
-key-hash exchange and writes a fresh versioned file set; the state JSON
-is the commit — a crash beforehand leaves the previous epoch's listing
-intact (orphan files in the new dir are never listed, hence never
-read), and the re-run converges byte-identically. Superseded files are
-deleted only after the commit (the versioned-open-table rule)."""
+the ref only advances (their weight is pinned at 2^0 forever)."""
 
 from __future__ import annotations
-
-import json
-import os
-import uuid
-from typing import Optional
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
-import pyarrow.parquet as pq
 
 import ray.data
 
-DCSTATE = "_DCSTATE.json"
+from calendar_event_entity_extraction_ray.stages import keyedstate as ks
 
-
-def _load_state(state_dir: str) -> dict:
-    p = os.path.join(state_dir, DCSTATE)
-    if os.path.exists(p):
-        with open(p) as f:
-            return json.load(f)
-    return {"epochs": [], "ref_us": None, "half_life_us": None,
-            "cap": None, "num_partitions": None, "files": []}
-
-
-def _write_state(state_dir: str, state: dict) -> None:
-    p = os.path.join(state_dir, DCSTATE)
-    tmp = p + ".tmp"
-    with open(tmp, "w") as f:
-        json.dump(state, f)
-    os.replace(tmp, p)
+STORE = ks.KeyedStore("_DCSTATE.json", "counts", "abs_k", "n", "sum",
+                      extras=("ref_us",))
+DCSTATE = STORE.state_file
 
 
 def decayed_counter_epoch(
@@ -74,121 +37,49 @@ def decayed_counter_epoch(
     num_partitions: int = 16,
 ) -> dict:
     """Ingest one epoch of (key, ts) events into the counter state.
-    Geometry (half_life, cap) is pinned by the first epoch; mismatched
-    parameters are rejected. Returns a summary dict."""
-    os.makedirs(state_dir, exist_ok=True)
-    state = _load_state(state_dir)
+    Geometry (half_life, cap) and key_col are pinned by the first epoch;
+    mismatched parameters are rejected. Returns a summary dict."""
     hl_us = int(half_life_hours) * 3_600_000_000
-    if state["half_life_us"] is None:
-        state["half_life_us"], state["cap"] = hl_us, int(cap)
-        state["num_partitions"] = int(num_partitions)
-    elif (state["half_life_us"] != hl_us or state["cap"] != int(cap)):
-        raise ValueError(
-            f"geometry mismatch: state has half_life_us="
-            f"{state['half_life_us']}, cap={state['cap']}")
-    if epoch in state["epochs"]:
-        return {"noop": True, "ref_us": state["ref_us"],
-                "n_state_rows": _state_rows(state_dir, state)}
-    P = int(state["num_partitions"])
+    cap = int(cap)
 
-    epoch_max = ds.max(ts_col)
-    if epoch_max is not None:
-        max_us = int(pd.Timestamp(epoch_max).value // 1_000)
-        new_ref = max_us if state["ref_us"] is None \
-            else max(int(state["ref_us"]), max_us)
-    else:
-        new_ref = state["ref_us"]
-    if new_ref is None:
-        # first epoch and it is empty: record it, keep the empty state
-        state["epochs"].append(epoch)
-        _write_state(state_dir, state)
-        return {"noop": False, "ref_us": None, "n_state_rows": 0}
-    ref_k = new_ref // hl_us
-    floor_k = ref_k - int(cap)
+    def prepare(state: dict):
+        new_ref = state.get("ref_us")
+        epoch_max = ds.max(ts_col)
+        if epoch_max is not None:
+            max_us = int(pd.Timestamp(epoch_max).value // 1_000)
+            new_ref = max_us if new_ref is None else max(new_ref, max_us)
+        if new_ref is None:
+            return None  # first epoch and it is empty: keep the empty state
+        state["ref_us"] = new_ref
+        floor_k = new_ref // hl_us - cap
 
-    from calendar_event_entity_extraction_ray.stages.dedup import (
-        add_hash_column,
-    )
-    from calendar_event_entity_extraction_ray.stages.exchange import (
-        hash_partition_map,
-    )
+        def partial(b: pa.Table) -> pa.Table:
+            col = b.column(ts_col)
+            if pa.types.is_timestamp(col.type):
+                col = col.cast(pa.timestamp("us"))
+            ts = col.cast(pa.int64()).to_numpy(zero_copy_only=False)
+            df = pd.DataFrame({
+                key_col: b.column(key_col).to_numpy(zero_copy_only=False),
+                "abs_k": np.maximum(ts // hl_us, floor_k),
+            })
+            g = df.groupby([key_col, "abs_k"], dropna=False)
+            out = g.size().rename("n").reset_index()
+            out["n"] = out["n"].astype(np.int64)
+            return pa.Table.from_pandas(out, preserve_index=False)
 
-    def partial(b: pa.Table) -> pa.Table:
-        col = b.column(ts_col)
-        if pa.types.is_timestamp(col.type):
-            col = col.cast(pa.timestamp("us"))
-        ts = col.cast(pa.int64()).to_numpy(zero_copy_only=False)
-        df = pd.DataFrame({
-            key_col: b.column(key_col).to_numpy(zero_copy_only=False),
-            "abs_k": np.maximum(ts // hl_us, floor_k),
-        })
-        g = df.groupby([key_col, "abs_k"], dropna=False)
-        out = g.size().rename("n").reset_index()
-        out["n"] = out["n"].astype(np.int64)
-        return pa.Table.from_pandas(out, preserve_index=False)
+        def old_clamp(b: pa.Table) -> pa.Table:
+            # previous state rows re-enter the fold with abs_k re-clamped
+            # to the NEW horizon (exact: see module docstring)
+            df = b.to_pandas()
+            df["abs_k"] = np.maximum(df["abs_k"].to_numpy(np.int64), floor_k)
+            return pa.Table.from_pandas(df, preserve_index=False)
 
-    def old_clamp(b: pa.Table) -> pa.Table:
-        # previous state rows re-enter the fold with abs_k re-clamped to
-        # the NEW horizon (exact: see module docstring)
-        df = b.to_pandas()
-        df["abs_k"] = np.maximum(df["abs_k"].to_numpy(np.int64), floor_k)
-        return pa.Table.from_pandas(df, preserve_index=False)
+        return ds.map_batches(partial, batch_format="pyarrow"), old_clamp
 
-    parts = ds.map_batches(partial, batch_format="pyarrow")
-    prev_files = [os.path.join(state_dir, f) for f in state["files"]]
-    if prev_files:
-        prev = ray.data.read_parquet(prev_files).map_batches(
-            old_clamp, batch_format="pyarrow")
-        parts = parts.union(prev)
-
-    ed = os.path.join(state_dir, f"counts.epoch={epoch}")
-
-    def fold(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return pa.table({"file": pa.array([], pa.string()),
-                             "rows": pa.array([], pa.int64())})
-        df = t.select([key_col, "abs_k", "n"]).to_pandas()
-        g = df.groupby([key_col, "abs_k"], dropna=False, sort=True)
-        out = g["n"].sum().reset_index()
-        out["n"] = out["n"].astype(np.int64)
-        k = int(t.column("_kh")[0].as_py()) % P
-        pdir = os.path.join(ed, f"part={k}")
-        os.makedirs(pdir, exist_ok=True)
-        name = f"c-{uuid.uuid4().hex}.parquet"
-        pq.write_table(pa.Table.from_pandas(out, preserve_index=False),
-                       os.path.join(pdir, name))
-        rel = os.path.join(f"counts.epoch={epoch}", f"part={k}", name)
-        return pa.table({"file": pa.array([rel], pa.string()),
-                         "rows": pa.array([out.shape[0]], pa.int64())})
-
-    hashed = parts.map_batches(
-        lambda b: add_hash_column(b, [key_col], out_col="_kh"),
-        batch_format="pyarrow")
-    res = hash_partition_map(hashed, "_kh", fold,
-                             num_partitions=P).to_pandas()
-    files = sorted(res["file"].tolist()) if "file" in res.columns else []
-    n_rows = int(res["rows"].sum()) if "rows" in res.columns else 0
-
-    superseded = state["files"]
-    state["files"] = files
-    state["ref_us"] = int(new_ref)
-    state["epochs"].append(epoch)
-    _write_state(state_dir, state)  # the commit point
-    from calendar_event_entity_extraction_ray.stages.storegc import (
-        orphan_files,
-        remove_files_and_prune_dirs,
-    )
-
-    remove_files_and_prune_dirs(
-        state_dir, superseded + orphan_files(
-            state_dir, [f"counts.epoch={epoch}"], files))
-    return {"noop": False, "ref_us": int(new_ref),
-            "n_state_rows": n_rows}
-
-
-def _state_rows(state_dir: str, state: dict) -> int:
-    return sum(pq.ParquetFile(os.path.join(state_dir, f)).metadata.num_rows
-               for f in state["files"])
+    return ks.run_epoch(
+        STORE, state_dir, epoch,
+        {"half_life_us": hl_us, "cap": cap, "key_col": key_col},
+        num_partitions, prepare)
 
 
 def read_decayed_counters(state_dir: str) -> "ray.data.Dataset":
@@ -201,15 +92,12 @@ def read_decayed_counters(state_dir: str) -> "ray.data.Dataset":
         grouped_sums,
     )
 
-    state = _load_state(state_dir)
-    if not state["files"]:
-        raise ValueError(f"no committed state under {state_dir}")
-    ref_k = int(state["ref_us"]) // int(state["half_life_us"])
-    cap = int(state["cap"])
-    files = [os.path.join(state_dir, f) for f in state["files"]]
-    counts = ray.data.read_parquet(files)
-    key_col = [c for c in counts.schema().names
-               if c not in ("abs_k", "n")][0]
+    state = ks.load_state(STORE, state_dir)
+    counts = ks.read_dataset(STORE, state_dir, state)
+    params = state["params"]
+    ref_k = int(state["ref_us"]) // int(params["half_life_us"])
+    cap = int(params["cap"])
+    key_col = params["key_col"]
 
     def weigh(b: pa.Table) -> pa.Table:
         abs_k = b.column("abs_k").to_numpy(zero_copy_only=False)

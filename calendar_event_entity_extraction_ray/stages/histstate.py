@@ -1,62 +1,30 @@
-"""Epoch-incremental per-key numeric HISTOGRAM state — the
-distribution-monitoring member of the feature-store family (featstate =
-recency-weighted counts, hllstate = approximate distinct, THIS = value
-distributions: per-key quantiles / drift across crawl epochs without
-ever re-reading old events).
+"""Epoch-incremental per-key numeric HISTOGRAM state — per-key value
+distributions (quantiles, drift) kept across crawl epochs without
+re-reading old events (epoch protocol: stages/keyedstate.py).
 
 Exactness: values scale to integer cents (``floor(v*100 + 0.5)``, the
 repo's oracle-parity rule) and bucket to ``cents // width_cents``
-(floor division) — the state is a sparse (key, bucket, n) count table
-whose merge is plain ADDITION: commutative and associative, so epoch
-partials fold in any order; idempotence comes from the epoch recording
-(a recorded epoch is a no-op), exactly like featstate. Quantiles read
-off the bucket table exactly at bucket granularity: the q-quantile
-bucket is the smallest bucket whose cumulative count reaches
-``(q * total + 99) // 100`` (integer ceil — bit-identical in numpy and
-DuckDB, no float rank arithmetic).
-
-Layout and commit discipline are featstate's verbatim:
-
-    state_dir/_HISTSTATE.json   {"epochs", "width_cents",
-                                 "num_partitions", "files"}
-    state_dir/hist.epoch=<e>/part=<k>/h-<uuid>.parquet
-
-Each epoch folds (previous listed files ∪ epoch partials) through ONE
-key-hash exchange into a fresh versioned file set; the state JSON is
-the commit; superseded files + orphans are pruned after (storegc)."""
+(floor division); the state is a sparse (key, bucket, n) count table
+whose merge is plain ADDITION. The q-quantile bucket is the smallest
+bucket whose cumulative count reaches ``(q * total + 99) // 100``
+(integer ceil — bit-identical in numpy and DuckDB, no float rank
+arithmetic). A NULL value makes a NULL bucket, as in the SQL oracle: it
+counts in the total, sorts after every bucket, and a quantile whose
+rank lands only there is NULL."""
 
 from __future__ import annotations
 
-import json
-import os
-import uuid
 from typing import List, Optional
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
-import pyarrow.parquet as pq
 
 import ray.data
 
-HSTATE = "_HISTSTATE.json"
+from calendar_event_entity_extraction_ray.stages import keyedstate as ks
 
-
-def _load_state(state_dir: str) -> dict:
-    p = os.path.join(state_dir, HSTATE)
-    if os.path.exists(p):
-        with open(p) as f:
-            return json.load(f)
-    return {"epochs": [], "width_cents": None, "key_col": None,
-            "num_partitions": None, "files": []}
-
-
-def _write_state(state_dir: str, state: dict) -> None:
-    p = os.path.join(state_dir, HSTATE)
-    tmp = p + ".tmp"
-    with open(tmp, "w") as f:
-        json.dump(state, f)
-    os.replace(tmp, p)
+STORE = ks.KeyedStore("_HISTSTATE.json", "hist", "bucket", "n", "sum")
 
 
 def hist_epoch(
@@ -69,106 +37,35 @@ def hist_epoch(
     num_partitions: int = 16,
 ) -> dict:
     """Ingest one epoch of (key, value) rows into the histogram state.
-    Geometry (bucket width) is pinned by the first epoch; mismatched
-    parameters are rejected. Returns {noop, n_state_rows}."""
-    os.makedirs(state_dir, exist_ok=True)
-    state = _load_state(state_dir)
-    if state["width_cents"] is None:
-        state["width_cents"] = int(width_cents)
-        state["num_partitions"] = int(num_partitions)
-        state["key_col"] = key_col
-    elif state["width_cents"] != int(width_cents):
-        raise ValueError(
-            f"geometry mismatch: state has width_cents="
-            f"{state['width_cents']}, got {width_cents}")
-    if epoch in state["epochs"]:
-        return {"noop": True, "n_state_rows": _state_rows(state_dir, state)}
-    P = int(state["num_partitions"])
-    w = int(state["width_cents"])
-
-    from calendar_event_entity_extraction_ray.stages.dedup import (
-        add_hash_column,
-    )
-    from calendar_event_entity_extraction_ray.stages.exchange import (
-        hash_partition_map,
-    )
+    Geometry (bucket width) and key_col are pinned by the first epoch;
+    mismatched parameters are rejected. Returns {noop, n_state_rows}."""
+    w = int(width_cents)
 
     def partial(b: pa.Table) -> pa.Table:
         v = b.column(value_col).cast(pa.float64()).to_numpy(
             zero_copy_only=False)
-        cents = np.floor(v * 100.0 + 0.5).astype(np.int64)
+        null = np.isnan(v)
+        cents = np.floor(np.where(null, 0.0, v) * 100.0 + 0.5).astype(
+            np.int64)
         t = pa.table({key_col: b.column(key_col),
-                      "bucket": pa.array(cents // w, pa.int64())})
+                      "bucket": pa.array(cents // w, pa.int64(),
+                                         mask=null)})
         g = t.group_by([key_col, "bucket"]).aggregate([([], "count_all")])
         return pa.table({key_col: g.column(key_col),
                          "bucket": g.column("bucket"),
                          "n": g.column("count_all").cast(pa.int64())})
 
-    parts = ds.map_batches(partial, batch_format="pyarrow")
-    prev_files = [os.path.join(state_dir, f) for f in state["files"]]
-    if prev_files:
-        parts = parts.union(ray.data.read_parquet(prev_files))
-
-    ed = f"hist.epoch={epoch}"
-
-    def fold(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return pa.table({"file": pa.array([], pa.string()),
-                             "rows": pa.array([], pa.int64())})
-        key_field = t.schema.field(key_col)
-        df = t.select([key_col, "bucket", "n"]).to_pandas()
-        g = (df.groupby([key_col, "bucket"], dropna=False, sort=True)
-             ["n"].sum().reset_index())
-        k = int(t.column("_kh")[0].as_py()) % P
-        pdir = os.path.join(state_dir, ed, f"part={k}")
-        os.makedirs(pdir, exist_ok=True)
-        name = f"h-{uuid.uuid4().hex}.parquet"
-        schema = pa.schema([key_field, pa.field("bucket", pa.int64()),
-                            pa.field("n", pa.int64())])
-        pq.write_table(
-            pa.Table.from_pandas(g, schema=schema, preserve_index=False),
-            os.path.join(pdir, name))
-        rel = os.path.join(ed, f"part={k}", name)
-        return pa.table({"file": pa.array([rel], pa.string()),
-                         "rows": pa.array([g.shape[0]], pa.int64())})
-
-    hashed = parts.map_batches(
-        lambda b: add_hash_column(b, [key_col], out_col="_kh"),
-        batch_format="pyarrow")
-    res = hash_partition_map(hashed, "_kh", fold,
-                             num_partitions=P).to_pandas()
-    files = sorted(res["file"].tolist()) if "file" in res.columns else []
-    n_rows = int(res["rows"].sum()) if "rows" in res.columns else 0
-
-    superseded = state["files"]
-    state["files"] = files
-    state["epochs"].append(epoch)
-    _write_state(state_dir, state)  # the commit point
-    from calendar_event_entity_extraction_ray.stages.storegc import (
-        orphan_files,
-        remove_files_and_prune_dirs,
-    )
-
-    remove_files_and_prune_dirs(
-        state_dir, superseded + orphan_files(state_dir, [ed], files))
-    return {"noop": False, "n_state_rows": n_rows}
-
-
-def _state_rows(state_dir: str, state: dict) -> int:
-    return sum(pq.read_metadata(os.path.join(state_dir, f)).num_rows
-               for f in state["files"])
+    return ks.run_epoch(
+        STORE, state_dir, epoch, {"width_cents": w, "key_col": key_col},
+        num_partitions,
+        lambda state: (ds.map_batches(partial, batch_format="pyarrow"),
+                       None))
 
 
 def read_histograms(state_dir: str) -> "ray.data.Dataset":
-    """The raw sparse bucket table (key, bucket, n) as a Dataset.
-    Projected to the data columns — hive-style shard paths would
-    otherwise add partition columns (CLAUDE.md round-5)."""
-    state = _load_state(state_dir)
-    if not state["files"]:
-        raise ValueError(f"no committed state under {state_dir}")
-    return ray.data.read_parquet(
-        [os.path.join(state_dir, f) for f in state["files"]],
-        columns=[state.get("key_col") or "event_type", "bucket", "n"])
+    """The raw sparse bucket table (key, bucket, n) as a Dataset."""
+    return ks.read_dataset(STORE, state_dir,
+                           ks.load_state(STORE, state_dir))
 
 
 def quantile_table(df: pd.DataFrame, key_col: str,
@@ -177,13 +74,9 @@ def quantile_table(df: pd.DataFrame, key_col: str,
     shared kernel of the distributed fold and the SQL oracle's replay:
     rank(q) = (q * total + 99) // 100 (1-based integer ceil), answer =
     the smallest bucket whose cumulative count >= rank. Vectorized:
-    sort, grouped cumsum, boolean first-hit per key."""
-    if not len(df):
-        out = pd.DataFrame({key_col: []})
-        out["n_total"] = pd.Series([], dtype="int64")
-        for q in qs:
-            out[f"q{q}_bucket"] = pd.Series([], dtype="int64")
-        return out
+    sort, grouped cumsum, boolean first-hit per key. NULL buckets sort
+    last and ``first()`` skips them, so a rank that only the NULL
+    bucket reaches gives NULL — SQL's MIN over the hits."""
     df = df.sort_values([key_col, "bucket"], kind="stable")
     g = df.groupby(key_col, dropna=False, sort=True)
     cum = g["n"].cumsum()
@@ -195,33 +88,28 @@ def quantile_table(df: pd.DataFrame, key_col: str,
         qb = (hit.groupby(key_col, dropna=False, sort=True)["bucket"]
               .first().reset_index(name=f"q{q}_bucket"))
         out = out.merge(qb, on=key_col, how="left")
-        out[f"q{q}_bucket"] = out[f"q{q}_bucket"].astype("int64")
+        col = out[f"q{q}_bucket"]
+        out[col.name] = col.astype("int64" if col.notna().all()
+                                   else "Int64")
     out["n_total"] = out["n_total"].astype("int64")
     return out
 
 
-def read_quantiles(state_dir: str, key_col: str = "event_type",
+def read_quantiles(state_dir: str,
                    qs: "Optional[List[int]]" = None) -> pd.DataFrame:
     """Serving read: per-key (n_total, q<q>_bucket ...) computed from
     the bounded bucket table — one exchange fold per state partition
-    (keys co-locate by construction), never the events."""
-    from calendar_event_entity_extraction_ray.stages.dedup import (
-        add_hash_column,
-    )
-    from calendar_event_entity_extraction_ray.stages.exchange import (
-        hash_partition_map,
-    )
-
+    (keys co-locate by construction), never the events. The key column
+    is the one the first epoch pinned."""
     qs = qs or [50, 90, 99]
-    counts = read_histograms(state_dir)
+    state = ks.load_state(STORE, state_dir)
+    counts = ks.read_dataset(STORE, state_dir, state)
+    key_col = STORE.key_col(state)
 
     def fold(t: pa.Table) -> pa.Table:
         df = t.select([key_col, "bucket", "n"]).to_pandas()
         return pa.Table.from_pandas(quantile_table(df, key_col, qs),
                                     preserve_index=False)
 
-    hashed = counts.map_batches(
-        lambda b: add_hash_column(b, [key_col], out_col="_kh"),
-        batch_format="pyarrow")
-    out = hash_partition_map(hashed, "_kh", fold).to_pandas()
+    out = ks.keyed_map(counts, key_col, fold).to_pandas()
     return out.sort_values(key_col, kind="stable").reset_index(drop=True)

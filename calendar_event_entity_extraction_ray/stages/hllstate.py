@@ -1,59 +1,33 @@
 """Epoch-incremental approximate-distinct state — per-key HyperLogLog
-registers maintained across crawl epochs (the feature-store "distinct
-users / distinct sources per key" serving state).
+registers kept across crawl epochs (the feature-store "distinct users /
+distinct sources per key" serving state; epoch protocol:
+stages/keyedstate.py).
 
 Counters (stages/featstate.py) add; HLL registers take an elementwise
-MAX — which is commutative, associative AND idempotent, so the state
-is exactly order-independent and even double-folding a crashed epoch
-cannot corrupt it. The state is stored SPARSE: rows
-``(key, bucket, rank)`` with merge = groupby(key, bucket).max(rank) —
-at most min(n_distinct, 2^p) rows per key, so small keys cost a few
-rows, not a 2^p register block.
-
-The value hash is the vectorized process-stable siphash
-(``pd.util.hash_pandas_object``) — NOT the per-row md5 of
-functions/sketch.py:HyperLogLog (CLAUDE.md: never per-row md5 in hot
-paths); the estimator formula is the same standard HLL. The batch twin
-``grouped_hll_distinct`` runs the identical kernel, and tests pin
-multi-epoch state == single-shot batch REGISTERS bit-for-bit.
-
-Layout and commit protocol mirror featstate.py: versioned per-epoch
-file sets, state JSON (_HLLSTATE.json) as the commit point, superseded
-files deleted strictly after, epoch re-runs are no-ops, geometry (p)
-pinned by the first epoch."""
+MAX — commutative, associative AND idempotent, so the state is exactly
+order-independent and even double-folding a crashed epoch cannot
+corrupt it. The state is SPARSE (key, bucket, rank) rows — at most
+min(n_distinct, 2^p) per key, so small keys cost a few rows, not a 2^p
+register block. The value hash is the vectorized process-stable siphash
+(``pd.util.hash_pandas_object``), NOT functions/sketch.py's per-row md5
+(CLAUDE.md: never per-row md5 in hot paths); the estimator is the same
+standard HLL. Tests pin multi-epoch state == the batch twin
+``_register_rows``'s registers bit-for-bit."""
 
 from __future__ import annotations
 
-import json
-import os
-import uuid
-from typing import Tuple
+import math
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
-import pyarrow.parquet as pq
 
 import ray.data
 
-HLLSTATE = "_HLLSTATE.json"
+from calendar_event_entity_extraction_ray.stages import keyedstate as ks
 
-
-def _load_state(state_dir: str) -> dict:
-    p = os.path.join(state_dir, HLLSTATE)
-    if not os.path.exists(p):
-        return {"epochs": [], "p": None, "num_partitions": None,
-                "files": []}
-    with open(p) as f:
-        return json.load(f)
-
-
-def _write_state(state_dir: str, state: dict) -> None:
-    p = os.path.join(state_dir, HLLSTATE)
-    tmp = p + ".tmp"
-    with open(tmp, "w") as f:
-        json.dump(state, f, indent=1, sort_keys=True)
-    os.replace(tmp, p)
+STORE = ks.KeyedStore("_HLLSTATE.json", "hll", "bucket", "rank", "max",
+                      key="k")
 
 
 def _bit_length(v: np.ndarray) -> np.ndarray:
@@ -68,15 +42,17 @@ def _bit_length(v: np.ndarray) -> np.ndarray:
     return bl
 
 
+def _empty_registers() -> pd.DataFrame:
+    return pd.DataFrame({"k": pd.Series(dtype=object),
+                         "bucket": pd.Series(dtype="int64"),
+                         "rank": pd.Series(dtype="int64")})
+
+
 def hll_rows(keys, values, p: int) -> pd.DataFrame:
     """Sparse HLL partial: (key, bucket, rank) with per-(key, bucket)
     max rank — one vectorized pass. None values are skipped."""
     df = pd.DataFrame({"k": keys, "v": values})
     df = df[df["v"].notna()]
-    if df.empty:
-        return pd.DataFrame({"k": df["k"],
-                             "bucket": pd.Series(dtype="int64"),
-                             "rank": pd.Series(dtype="int64")})
     h = pd.util.hash_pandas_object(
         df["v"].astype(str), index=False).to_numpy()  # uint64 siphash
     bucket = (h >> np.uint64(64 - p)).astype(np.int64)
@@ -90,8 +66,6 @@ def hll_rows(keys, values, p: int) -> pd.DataFrame:
 
 def hll_estimate(buckets: np.ndarray, ranks: np.ndarray, p: int) -> float:
     """Standard HLL estimate from one key's sparse register rows."""
-    import math
-
     m = float(1 << p)
     zeros = (1 << p) - len(buckets)
     s = float(np.sum(2.0 ** -ranks.astype(np.float64))) + float(zeros)
@@ -102,55 +76,25 @@ def hll_estimate(buckets: np.ndarray, ranks: np.ndarray, p: int) -> float:
     return e
 
 
-def grouped_hll_distinct(
-    ds: "ray.data.Dataset", key_col: str, value_col: str, p: int = 12,
-) -> pd.DataFrame:
-    """Batch twin of the state store: (key, est) per key over the whole
-    input, same kernel, one exchange. Returns a pandas frame (grouped
-    estimates are bounded by key cardinality x sparse registers)."""
-    regs = _register_rows(ds, key_col, value_col, p)
-    return _estimates(regs, p)
-
-
-def _register_rows(ds, key_col: str, value_col: str, p: int,
-                   num_partitions=None) -> pd.DataFrame:
-    from calendar_event_entity_extraction_ray.stages.dedup import (
-        add_hash_column,
-    )
-    from calendar_event_entity_extraction_ray.stages.exchange import (
-        hash_partition_map,
-    )
-
+def _partials(ds, key_col: str, value_col: str, p: int):
     def partial(b: pa.Table) -> pa.Table:
         out = hll_rows(b.column(key_col).to_numpy(zero_copy_only=False),
                        b.column(value_col).to_pylist(), p)
         return pa.Table.from_pandas(out, preserve_index=False)
 
-    def fold(t: pa.Table) -> pa.Table:
-        df = t.select(["k", "bucket", "rank"]).to_pandas()
-        g = (df.groupby(["k", "bucket"], dropna=False, sort=True)
-             ["rank"].max().reset_index())
-        return pa.Table.from_pandas(g, preserve_index=False)
+    return ds.map_batches(partial, batch_format="pyarrow")
 
-    hashed = ds.map_batches(partial, batch_format="pyarrow").map_batches(
-        lambda b: add_hash_column(b, ["k"], out_col="_kh"),
-        batch_format="pyarrow")
-    out = hash_partition_map(hashed, "_kh", fold,
-                             num_partitions=num_partitions)
-    df = out.to_pandas()
+
+def _register_rows(ds, key_col: str, value_col: str, p: int,
+                   num_partitions=None) -> pd.DataFrame:
+    """Batch twin of the state store: the same partial and merge over
+    the whole input through one exchange, writing no files."""
+    df = ks.keyed_map(_partials(ds, key_col, value_col, p), "k",
+                      lambda t: ks.merge_rows(STORE, t, "k"),
+                      num_partitions=num_partitions).to_pandas()
     if "k" not in df.columns:   # all-empty dataset drops columns
-        df = pd.DataFrame({"k": pd.Series(dtype=object),
-                           "bucket": pd.Series(dtype="int64"),
-                           "rank": pd.Series(dtype="int64")})
+        df = _empty_registers()
     return df
-
-
-def _estimates(regs: pd.DataFrame, p: int) -> pd.DataFrame:
-    rows = []
-    for k, grp in regs.groupby("k", dropna=False, sort=True):
-        rows.append((k, hll_estimate(grp["bucket"].to_numpy(),
-                                     grp["rank"].to_numpy(), p)))
-    return pd.DataFrame(rows, columns=["key", "est"])
 
 
 def hll_distinct_epoch(
@@ -164,99 +108,28 @@ def hll_distinct_epoch(
 ) -> dict:
     """Ingest one epoch of (key, value) into the distinct-count state.
     Geometry (p) pinned by the first epoch; epoch re-runs are no-ops."""
-    os.makedirs(state_dir, exist_ok=True)
-    state = _load_state(state_dir)
-    if state["p"] is None:
-        state["p"], state["num_partitions"] = int(p), int(num_partitions)
-    elif int(state["p"]) != int(p):
-        raise ValueError(f"geometry mismatch: state has p={state['p']}")
-    if epoch in state["epochs"]:
-        return {"noop": True, "n_state_rows": _state_rows(state_dir, state)}
-    P = int(state["num_partitions"])
-    p = int(state["p"])
-
-    from calendar_event_entity_extraction_ray.stages.dedup import (
-        add_hash_column,
-    )
-    from calendar_event_entity_extraction_ray.stages.exchange import (
-        hash_partition_map,
-    )
-
-    def partial(b: pa.Table) -> pa.Table:
-        out = hll_rows(b.column(key_col).to_numpy(zero_copy_only=False),
-                       b.column(value_col).to_pylist(), p)
-        return pa.Table.from_pandas(out, preserve_index=False)
-
-    parts = ds.map_batches(partial, batch_format="pyarrow")
-    prev_files = [os.path.join(state_dir, f) for f in state["files"]]
-    if prev_files:
-        parts = parts.union(ray.data.read_parquet(prev_files))
-
-    ed = os.path.join(state_dir, f"hll.epoch={epoch}")
-
-    def fold(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return pa.table({"file": pa.array([], pa.string()),
-                             "rows": pa.array([], pa.int64())})
-        df = t.select(["k", "bucket", "rank"]).to_pandas()
-        g = (df.groupby(["k", "bucket"], dropna=False, sort=True)
-             ["rank"].max().reset_index())
-        k = int(t.column("_kh")[0].as_py()) % P
-        pdir = os.path.join(ed, f"part={k}")
-        os.makedirs(pdir, exist_ok=True)
-        name = f"h-{uuid.uuid4().hex}.parquet"
-        pq.write_table(pa.Table.from_pandas(g, preserve_index=False),
-                       os.path.join(pdir, name))
-        rel = os.path.join(f"hll.epoch={epoch}", f"part={k}", name)
-        return pa.table({"file": pa.array([rel], pa.string()),
-                         "rows": pa.array([g.shape[0]], pa.int64())})
-
-    hashed = parts.map_batches(
-        lambda b: add_hash_column(b, ["k"], out_col="_kh"),
-        batch_format="pyarrow")
-    res = hash_partition_map(hashed, "_kh", fold,
-                             num_partitions=P).to_pandas()
-    files = sorted(res["file"].tolist()) if "file" in res.columns else []
-    n_rows = int(res["rows"].sum()) if "rows" in res.columns else 0
-
-    superseded = state["files"]
-    state["files"] = files
-    state["epochs"].append(epoch)
-    _write_state(state_dir, state)  # the commit point
-    from calendar_event_entity_extraction_ray.stages.storegc import (
-        orphan_files,
-        remove_files_and_prune_dirs,
-    )
-
-    # superseded register files + crashed-attempt orphans in this
-    # epoch's dir, then their emptied epoch directories (disk hygiene
-    # only — reads go through the state-JSON listing)
-    remove_files_and_prune_dirs(
-        state_dir, superseded + orphan_files(
-            state_dir, [f"hll.epoch={epoch}"], files))
-    return {"noop": False, "n_state_rows": n_rows}
-
-
-def _state_rows(state_dir: str, state: dict) -> int:
-    return sum(pq.read_metadata(os.path.join(state_dir, f)).num_rows
-               for f in state["files"])
+    return ks.run_epoch(
+        STORE, state_dir, epoch, {"p": int(p)}, num_partitions,
+        lambda state: (_partials(ds, key_col, value_col, int(p)), None))
 
 
 def read_hll_registers(state_dir: str) -> pd.DataFrame:
     """The raw sparse register table (k, bucket, rank) — what the
     state==batch tests compare bit-for-bit."""
-    state = _load_state(state_dir)
-    files = [os.path.join(state_dir, f) for f in state["files"]]
-    if not files:
-        return pd.DataFrame({"k": pd.Series(dtype=object),
-                             "bucket": pd.Series(dtype="int64"),
-                             "rank": pd.Series(dtype="int64")})
-    t = pa.concat_tables(pq.read_table(f) for f in files)
+    state = ks.load_state(STORE, state_dir)
+    if not state["files"]:
+        return _empty_registers()
+    t = ks.read_table(STORE, state_dir, state)
     return (t.to_pandas().sort_values(["k", "bucket"])
             .reset_index(drop=True))
 
 
 def read_hll_distinct(state_dir: str) -> pd.DataFrame:
     """Serving read: (key, est) from the state registers."""
-    state = _load_state(state_dir)
-    return _estimates(read_hll_registers(state_dir), int(state["p"] or 12))
+    p = int((ks.load_state(STORE, state_dir)["params"] or {"p": 12})["p"])
+    rows = []
+    for k, grp in read_hll_registers(state_dir).groupby(
+            "k", dropna=False, sort=True):
+        rows.append((k, hll_estimate(grp["bucket"].to_numpy(),
+                                     grp["rank"].to_numpy(), p)))
+    return pd.DataFrame(rows, columns=["key", "est"])

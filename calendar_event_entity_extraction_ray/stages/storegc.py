@@ -1,5 +1,6 @@
 """Post-commit file hygiene shared by the presharded state stores
-(featstate, hllstate, watermark, fpstore-style layouts).
+(stages/keyedstate.py — featstate, hllstate, histstate — and
+watermark).
 
 Every store follows the versioned-open-table rule: workers write
 uniquely-named files, the state JSON / manifest listing is the atomic

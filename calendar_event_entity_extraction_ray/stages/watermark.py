@@ -66,7 +66,14 @@ def _load_state(state_dir: str) -> dict:
     p = os.path.join(state_dir, WMSTATE)
     if os.path.exists(p):
         with open(p) as f:
-            return json.load(f)
+            state = json.load(f)
+        if "open_file" in state:
+            # the round-4 layout kept ONE open-state file; the sharded
+            # layout has no migration, so fail before any KeyError
+            raise ValueError(
+                f"state dir {state_dir} uses the pre-sharded watermark "
+                f"format (single 'open_file'); rebuild it from its events")
+        return state
     return {"epochs": [], "watermark_us": None, "num_partitions": None,
             "open_files": [], "final_files": [], "late_files": []}
 

@@ -12,7 +12,7 @@ the read prints (key, est) estimates).
 
 Re-running a recorded epoch is a no-op; the epoch commit is atomic
 (versioned count files + state-JSON commit point). Geometry
-(half-life, cap) is pinned by the first epoch.
+(half-life, cap) and the key column are pinned by the first epoch.
 """
 
 import argparse
@@ -66,6 +66,7 @@ def main() -> int:
     from calendar_event_entity_extraction_ray.stages import featstate as fs
     from calendar_event_entity_extraction_ray.stages import histstate as Hs
     from calendar_event_entity_extraction_ray.stages import hllstate as hs
+    from calendar_event_entity_extraction_ray.stages import keyedstate as ks
 
     if args.input:
         if not args.epoch:
@@ -101,22 +102,22 @@ def main() -> int:
 
     if args.read:
         if args.kind == "hist":
-            t = Hs.read_quantiles(args.state, key_col=args.key_col)
+            t = Hs.read_quantiles(args.state)
             print(t.to_string(index=False, max_rows=30))
-            print({"keys": len(t),
-                   "epochs": Hs._load_state(args.state)["epochs"]})
+            print({"keys": len(t), "epochs": ks.load_state(
+                Hs.STORE, args.state)["epochs"]})
         elif args.kind == "hll":
             t = hs.read_hll_distinct(args.state)
             t = t.sort_values("est", ascending=False)
             print(t.to_string(index=False, max_rows=30))
-            print({"keys": len(t),
-                   "epochs": hs._load_state(args.state)["epochs"]})
+            print({"keys": len(t), "epochs": ks.load_state(
+                hs.STORE, args.state)["epochs"]})
         else:
             t = fs.read_decayed_counters(args.state).to_pandas()
             t = t.sort_values("decayed_num", ascending=False)
             print(t.to_string(index=False, max_rows=30))
-            print({"keys": len(t), "ref_us": fs._load_state(
-                args.state)["ref_us"]})
+            print({"keys": len(t), "ref_us": ks.load_state(
+                fs.STORE, args.state).get("ref_us")})
 
     ray.shutdown()
     return 0

@@ -135,6 +135,19 @@ class TestEmbStore:
         b = EB.incremental_drop_mask(ids, mat, stored, 0.6, chunk=10_000)
         assert (a == b).all()
 
+    def test_cross_hit_mask_chunks_both_sides(self):
+        """A block is at most chunk x chunk: with both inputs larger than
+        the chunk the mask still equals the unchunked one."""
+        rng = np.random.RandomState(12)
+        stored = rng.randn(23, 4)
+        mat = rng.randn(17, 4)
+        stored /= np.linalg.norm(stored, axis=1, keepdims=True)
+        mat /= np.linalg.norm(mat, axis=1, keepdims=True)
+        a = EB.cross_hit_mask(stored, mat, 0.8, chunk=3)
+        b = EB.cross_hit_mask(stored, mat, 0.8, chunk=10_000)
+        assert 0 < a.sum() < len(mat)   # both outcomes exercised
+        assert (a == b).all()
+
     def test_compaction_preserves_drop_decisions(self, ray_session,
                                                  tmp_path):
         """Folding epochs into one file per cell must not change any

@@ -129,6 +129,7 @@ class TestDecayedCounterState:
         import ray
 
         from calendar_event_entity_extraction_ray.stages import featstate as fs
+        from calendar_event_entity_extraction_ray.stages import keyedstate as ks
 
         e1 = _events(8, 500, 0, 3600 * 40)
         e2 = _events(9, 500, 3600 * 30, 3600 * 90)
@@ -136,20 +137,20 @@ class TestDecayedCounterState:
         for sd in (crash, ctrl):
             fs.decayed_counter_epoch(ray.data.from_pandas(e1), sd, "d1",
                                      half_life_hours=self.HL)
-        real = fs._write_state
+        real = ks.write_state
 
-        def boom(state_dir, state):
+        def boom(store, state_dir, state):
             if state_dir == crash:
                 raise RuntimeError("injected crash before commit")
-            return real(state_dir, state)
+            return real(store, state_dir, state)
 
-        monkeypatch.setattr(fs, "_write_state", boom)
+        monkeypatch.setattr(ks, "write_state", boom)
         with pytest.raises(RuntimeError, match="injected"):
             fs.decayed_counter_epoch(ray.data.from_pandas(e2), crash,
                                      "d2", half_life_hours=self.HL)
-        monkeypatch.setattr(fs, "_write_state", real)
+        monkeypatch.setattr(ks, "write_state", real)
         # crash window: the d1 view is intact (epoch not recorded)
-        assert fs._load_state(crash)["epochs"] == ["d1"]
+        assert ks.load_state(fs.STORE, crash)["epochs"] == ["d1"]
         d1_view = _read_df(crash)
         pd.testing.assert_frame_equal(d1_view, _read_df(ctrl))
         # recovery: re-run d2 on both, results identical

@@ -11,6 +11,7 @@ import pyarrow as pa
 import pytest
 
 from calendar_event_entity_extraction_ray.stages import histstate as H
+from calendar_event_entity_extraction_ray.stages import keyedstate as ks
 
 W = 500  # bucket width in cents
 
@@ -107,14 +108,14 @@ class TestHistState:
             k2, v2 = _mk(700, 7)
             H.hist_epoch(_ds(k1, v1), sd, "e1", width_cents=W)
             if crash:
-                real = H._write_state
+                real = ks.write_state
                 monkeypatch.setattr(
-                    H, "_write_state",
-                    lambda d, s: (_ for _ in ()).throw(
+                    ks, "write_state",
+                    lambda st, d, s: (_ for _ in ()).throw(
                         RuntimeError("boom")))
                 with pytest.raises(RuntimeError):
                     H.hist_epoch(_ds(k2, v2), sd, "e2", width_cents=W)
-                monkeypatch.setattr(H, "_write_state", real)
+                monkeypatch.setattr(ks, "write_state", real)
             H.hist_epoch(_ds(k2, v2), sd, "e2", width_cents=W)
             return (H.read_histograms(sd).to_pandas()
                     .sort_values(["event_type", "bucket"])
@@ -131,3 +132,41 @@ class TestHistState:
         H.hist_epoch(_ds(k2, v2), sd, "e2", width_cents=W)
         assert not os.path.isdir(os.path.join(sd, "hist.epoch=e1"))
         assert os.path.isdir(os.path.join(sd, "hist.epoch=e2"))
+
+    def test_null_values_follow_sql(self, ray_session, sd):
+        """NULL values match the hist_state_quantiles oracle SQL run
+        through DuckDB: a NULL bucket counts in n_total and sorts after
+        every bucket, so a quantile whose rank only it reaches is NULL
+        (key "b" is all NULL; key "a" reaches only NULL from q90 on)."""
+        import duckdb
+        import ray
+
+        import __ray_entry__ as E
+
+        rng = np.random.RandomState(10)
+        keys, vals = _mk(400, 10)
+        vals = [None if rng.rand() < 0.2 else v for v in vals]
+        keys += ["a", "a", "a", "b", "b"]
+        vals += [1.0, 2.0, None, None, None]
+        t = pa.table({"event_type": pa.array(keys, pa.string()),
+                      "value": pa.array(vals, pa.float64())})
+        half = len(keys) // 2
+        for epoch, part in (("e1", t.slice(0, half)),
+                            ("e2", t.slice(half))):
+            H.hist_epoch(ray.data.from_arrow(part).repartition(3), sd,
+                         epoch, width_cents=W, num_partitions=4)
+        got = H.read_quantiles(sd, qs=[50, 90, 99])
+
+        con = duckdb.connect()
+        con.register("events", t)
+        want = (con.execute(E.oracle_sql()["hist_state_quantiles"]).df()
+                .sort_values("event_type").reset_index(drop=True))
+        cols = ["n_total", "q50_bucket", "q90_bucket", "q99_bucket"]
+        assert want.loc[want["event_type"] == "b", cols[1:]].isna().all(
+            axis=None)
+        a = want[want["event_type"] == "a"].iloc[0]
+        assert a["q50_bucket"] == 0 and pd.isna(a["q90_bucket"])
+        pd.testing.assert_frame_equal(
+            got[["event_type"] + cols].astype({c: "Int64" for c in cols}),
+            want[["event_type"] + cols].astype({c: "Int64" for c in cols}),
+            check_dtype=False)

@@ -9,6 +9,7 @@ import pyarrow as pa
 import pytest
 
 from calendar_event_entity_extraction_ray.stages import hllstate as H
+from calendar_event_entity_extraction_ray.stages import keyedstate as ks
 
 
 def _ds(keys, vals, blocks=3):
@@ -95,16 +96,16 @@ class TestHllState:
                                  p=10, num_partitions=4)
         before = H.read_hll_registers(sd)
 
-        orig = H._write_state
+        orig = ks.write_state
 
-        def boom(state_dir, state):
+        def boom(store, state_dir, state):
             raise RuntimeError("injected crash before state commit")
 
-        monkeypatch.setattr(H, "_write_state", boom)
+        monkeypatch.setattr(ks, "write_state", boom)
         with pytest.raises(RuntimeError):
             H.hll_distinct_epoch(_ds(k2, v2), sd, "e2", "k", "v",
                                  p=10, num_partitions=4)
-        monkeypatch.setattr(H, "_write_state", orig)
+        monkeypatch.setattr(ks, "write_state", orig)
         # crash window: previous state fully authoritative
         pd.testing.assert_frame_equal(before, H.read_hll_registers(sd))
         # re-run converges to the no-crash control

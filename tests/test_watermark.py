@@ -313,6 +313,28 @@ class TestSessionWatermark:
                                   window_minutes=60,
                                   allowed_lateness_minutes=60)
 
+    def test_round4_state_dir_fails_loudly(self, ray_session, tmp_path):
+        """A state JSON in the pre-sharded (round-4) layout — one
+        ``open_file`` — is rejected with a clear error, not a KeyError."""
+        import json
+        import os
+
+        from calendar_event_entity_extraction_ray.stages import watermark
+
+        sd = str(tmp_path / "r4")
+        os.makedirs(sd)
+        with open(os.path.join(sd, watermark.WMSTATE), "w") as f:
+            json.dump({"epochs": ["e0"], "watermark_us": _us(0),
+                       "open_file": "open-e0.parquet",
+                       "final_files": [], "late_files": []}, f)
+        with pytest.raises(ValueError, match="pre-sharded") as ei:
+            watermark.tumbling_window_epoch(
+                _events([10]), sd, "e1", window_minutes=WIN,
+                allowed_lateness_minutes=LATE)
+        assert sd in str(ei.value)
+        with pytest.raises(ValueError, match="pre-sharded"):
+            watermark.read_window_state(sd)
+
 
 class TestSlidingWatermark:
     """tumbling_window_epoch(slide_minutes=...) — overlapping windows
