@@ -70,11 +70,7 @@ def run_bench() -> dict:
         # 13.2s -> 8.1s at 32 cpus). 4 blocks per CPU: measured sweet spot
         # — finer granularity balances the tail without per-block overhead
         ids = ray.data.range(n_pages, override_num_blocks=max(num_cpus * 4, 8))
-        triples = kg_triples(
-            ids,
-            extract_concurrency=max(2, num_cpus - 1),
-            gen_seed=42,
-        )
+        triples = kg_triples(ids, gen_seed=42)
         # partition count scales with data: the merge phase sorts each
         # partition single-threaded (~500k rows/partition keeps the sort
         # off the critical path; a fixed 16 at 5M pages meant 2.8M-row

@@ -22,7 +22,6 @@ class EngineConfig:
     seed: int = 42
     n_synth: int = 1000
     num_partitions: int = 16
-    extract_concurrency: int = 8
     batch_blocks_per_cpu: int = 2
     lang: str = "en"
     # split knobs (reference 75/15/10, augmentation/main.py:176-183)

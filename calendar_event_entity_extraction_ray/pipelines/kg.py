@@ -1,41 +1,56 @@
 """Flagship pipeline: Common-Crawl-style pages -> knowledge-graph triples.
 
     pages (url, warc_ts, html, text, lang)
-      S1 html->text      stateless map_batches, zero-copy Arrow; drop html
+      S1 html->text      zero-copy Arrow; drop html
       lang filter        vectorized predicate
-      S2 event extract   actor pool (compiled grammar + memoized dateutil)
+      S2 event extract   compiled grammar + memoized dateutil
       S3 triple emit     stateless explosion -> (subj, pred, obj, kind, url)
-      S4 entity link     actor pool, broadcast alias dict + LSH fuzzy
+      S4 entity link     broadcast alias dict + LSH fuzzy
       S5 dedup           per-batch exact (subj,pred,obj) distinct (see
                          stages/dedup.py for why no shuffle is needed)
       S6 materialize     partition by hash(subj) % P -> per-partition
                          Parquet + manifest (resumable)
 
-The pipeline is lazy end-to-end; nothing materializes except the final sink
-or the small aggregates. ``num_cpus``/``concurrency`` are sized so the
-extractor pool does not starve S1/S6 (extract dominates compute).
+S1..S5 run as ONE task-form batch UDF (``fused_kg_batch``); the stage
+functions stay individually testable. S6 and the delta appends spill
+through the exchange's phase 1 (``stages/exchange.py:spill_partitions``)
+and write every file with ``state/manifest.py:write_parquet_atomic``.
+The pipeline is lazy end-to-end; nothing materializes except the final
+sink or the small aggregates.
 """
 
 from __future__ import annotations
 
 import os
+import shutil
 from typing import Optional
 
+import numpy as np
 import pyarrow as pa
+import pyarrow.parquet as pq
 
 import ray
 import ray.data
 
 from calendar_event_entity_extraction_ray.functions.linking import default_alias_rows
 from calendar_event_entity_extraction_ray.sources.pages import pages_table
-from calendar_event_entity_extraction_ray.stages.dedup import dedup_triples_batch
+from calendar_event_entity_extraction_ray.stages.dedup import (
+    dedup_triples_batch,
+    hash64_columns,
+)
 from calendar_event_entity_extraction_ray.stages.emit_triples import emit_triples_batch
+from calendar_event_entity_extraction_ray.stages.exchange import (
+    claim_crash_sentinel,
+    read_spill,
+    spill_partitions,
+)
 from calendar_event_entity_extraction_ray.stages.extract_events import ExtractEvents
 from calendar_event_entity_extraction_ray.stages.html_to_text import (
     filter_lang,
     html_to_text_batch,
 )
 from calendar_event_entity_extraction_ray.stages.link_entities import LinkEntities
+from calendar_event_entity_extraction_ray.state import manifest as M
 
 
 def synth_pages_dataset(
@@ -56,7 +71,6 @@ def synth_pages_dataset(
 
 def extract_stage(
     pages: "ray.data.Dataset",
-    extract_concurrency: int | tuple = (1, 8),
     batch_size: int | None = None,
 ) -> "ray.data.Dataset":
     """S1 + lang filter + S2: pages -> events dataset."""
@@ -125,45 +139,50 @@ def fused_kg_batch(batch: pa.Table, *, alias_ref=None,
 def kg_triples(
     pages: "ray.data.Dataset",
     alias_rows: Optional[list] = None,
-    extract_concurrency: int | tuple = (1, 8),
-    link_concurrency: int | tuple = (1, 4),  # used only when fused=False
     batch_size: int | None = None,
-    fused: bool = True,
-    gen_seed: Optional[int] = None,  # fused synthetic-source mode: pages is a range of ids
+    gen_seed: Optional[int] = None,  # synthetic-source mode: pages is a range of ids
 ) -> "ray.data.Dataset":
-    """pages -> linked, deduped triples Dataset (lazy).
+    """pages -> linked, deduped triples Dataset (lazy): S1..S5 as ONE
+    task-form batch UDF (``fused_kg_batch``).
 
-    Pool minimums are 1 so an actor pool can never reserve every CPU of a
-    small cluster and starve the task stages (read / shuffle / write); the
-    autoscaler grows the pool when CPUs are free.
+    Task-based with a per-worker-process state cache (same pattern as
+    stages/dedup.py:jaccard_prefix_tokens_batch): Ray's pre-started
+    worker pool runs the tasks with NO actor-pool spin-up (~2s of every
+    cold run at 32 cpus), and the grammar / alias-dict / LSH-index setup
+    still happens once per worker — tasks reuse worker processes, so
+    this amortizes exactly like actor __init__. Task parallelism follows
+    the block count.
     """
     alias_ref = ray.put(alias_rows if alias_rows is not None else default_alias_rows())
-    if fused:
-        # task-based with a per-worker-process state cache (same pattern
-        # as stages/dedup.py:jaccard_prefix_tokens_batch): Ray's
-        # pre-started worker pool runs the tasks with NO actor-pool
-        # spin-up (~2s of every cold run at 32 cpus), and the grammar /
-        # alias-dict / LSH-index setup still happens once per worker —
-        # tasks reuse worker processes, so this amortizes exactly like
-        # actor __init__. extract_concurrency only bounds the legacy
-        # unfused path; task parallelism follows the block count.
-        return pages.map_batches(
-            fused_kg_batch,
-            fn_kwargs={"alias_ref": alias_ref, "gen_seed": gen_seed},
-            batch_format="pyarrow",
-            batch_size=batch_size,
-        )
-    events = extract_stage(pages, extract_concurrency, batch_size)
-    triples = events.map_batches(emit_triples_batch, batch_format="pyarrow")
-    linked = triples.map_batches(
-        LinkEntities,
-        fn_constructor_kwargs={"alias_ref": alias_ref},
+    return pages.map_batches(
+        fused_kg_batch,
+        fn_kwargs={"alias_ref": alias_ref, "gen_seed": gen_seed},
         batch_format="pyarrow",
-        batch_size=4096,
-        concurrency=link_concurrency,
-        num_cpus=1,
+        batch_size=batch_size,
     )
-    return linked.map_batches(dedup_triples_batch, batch_format="pyarrow")
+
+
+def _subj_part_of(num_partitions: int, skip=()):
+    """The graph store's partition assignment, ``hash64(subj) % P`` —
+    graphs on disk depend on it (appends route by the base's P). Rows of
+    partitions in ``skip`` map to -1, which ``spill_partitions`` drops."""
+    skip = np.asarray(sorted(skip), dtype=np.int64)
+
+    def part_of(b: pa.Table) -> np.ndarray:
+        part = hash64_columns(b, ["subj"]) % num_partitions
+        if len(skip):
+            part[np.isin(part, skip)] = -1
+        return part
+
+    return part_of
+
+
+def _distinct_sorted(t: pa.Table) -> pa.Table:
+    """The graph store's set semantics: distinct over all columns, sorted
+    on all columns for byte-deterministic output."""
+    df = t.to_pandas().drop_duplicates()
+    t = pa.Table.from_pandas(df, preserve_index=False).cast(t.schema)
+    return t.sort_by([(c, "ascending") for c in t.schema.names])
 
 
 def materialize_graph(
@@ -171,7 +190,6 @@ def materialize_graph(
     out_dir: str,
     fingerprint: str,
     num_partitions: int = 16,
-    spill_dir: "str | None" = None,
     _crash_sentinel: "str | None" = None,
 ) -> dict:
     """S6: partition by hash(subj) % P -> one Parquet file per partition +
@@ -182,10 +200,10 @@ def materialize_graph(
     Ray's sort-based groupby (which, for this many-small-blocks /
     few-partitions shape, cost more than the whole extract stage):
 
-      phase 1 (map, no barrier): each block splits its rows by part_key and
-        appends one spill file per touched partition under
-        ``_spill/part=K/`` (atomic temp+rename; local disk here, shared
-        object storage on a real cluster);
+      phase 1 (map, no barrier): ``spill_partitions`` splits each block
+        by hash(subj) % P and writes one spill file per touched partition
+        under ``_spill/part=K/`` (atomic temp+rename; local disk here,
+        shared object storage on a real cluster);
       phase 2 (reduce, parallel ray tasks): one task per partition merges
         its spill files, sorts by (subj, pred, obj) for deterministic
         output, and writes ``part_key=K/data.parquet``.
@@ -203,86 +221,22 @@ def materialize_graph(
     after extraction); INPUT-level resume is achieved by sharding the input
     across jobs with per-shard fingerprints (scripts/run_job.py).
     """
-    import shutil as _shutil
-
-    import numpy as np
-    import pyarrow.compute as pc
-    import pyarrow.parquet as pq
-
-    from calendar_event_entity_extraction_ray.state import manifest as M
-    from calendar_event_entity_extraction_ray.stages.dedup import add_hash_column
-
     done = M.completed_partitions(out_dir, fingerprint)
-    # default spill next to the output (out_dir IS shared storage on a
-    # real cluster — the same place the Parquet output lands); override to
-    # e.g. a faster shared scratch volume via the parameter or config
-    spill_dir = spill_dir or os.path.join(out_dir, "_spill")
-
-    def add_part_key(b: pa.Table) -> pa.Table:
-        b = add_hash_column(b, ["subj"], out_col="_h")
-        part = pa.array(
-            (b.column("_h").to_numpy() % num_partitions).astype(np.int32)
-        )
-        return b.drop_columns(["_h"]).append_column("part_key", part)
-
-    keyed = triples.map_batches(add_part_key, batch_format="pyarrow")
-    if done:
-        keyed = keyed.map_batches(
-            lambda b: b.filter(
-                pc.invert(pc.is_in(b.column("part_key"),
-                                   value_set=pa.array(sorted(done), pa.int32())))
-            ),
-            batch_format="pyarrow",
-        )
-
+    # spill next to the output (out_dir IS shared storage on a real
+    # cluster — the same place the Parquet output lands)
+    spill_dir = os.path.join(out_dir, "_spill")
     # A crashed prior run (manifest written only at the end) or a prior
     # same-fingerprint attempt may have left spill files behind — merging
     # them would duplicate triples. Phase 1 always starts clean.
-    _shutil.rmtree(spill_dir, ignore_errors=True)
-
-    def spill(b: pa.Table) -> pa.Table:
-        # Spark-style attempt commit (same protocol as stages/exchange.py):
-        # every attempt writes UNIQUE file names and RETURNS them; phase 2
-        # reads only files listed by the one attempt Ray kept, so retried /
-        # speculative attempts cannot duplicate rows and no content-derived
-        # naming (a per-row hash pass) is needed.
-        import tempfile
-
-        parts, rows, names = [], [], []
-        if b.num_rows:
-            keys = b.column("part_key").to_numpy()
-            for part_id in np.unique(keys):
-                sub = b.filter(pc.equal(b.column("part_key"), int(part_id)))
-                sub = sub.drop_columns(["part_key"])
-                pdir = os.path.join(spill_dir, f"part={int(part_id)}")
-                os.makedirs(pdir, exist_ok=True)
-                fd, tmp = tempfile.mkstemp(dir=pdir, suffix=".tmp")
-                os.close(fd)
-                # spill files are intermediate (merged then deleted):
-                # uncompressed write saves CPU in the map phase
-                pq.write_table(sub, tmp, compression="none")
-                final = tmp[:-4] + ".parquet"
-                os.replace(tmp, final)  # atomic: readers never see partials
-                parts.append(int(part_id))
-                rows.append(sub.num_rows)
-                names.append(os.path.basename(final))
-        return pa.table({"part_id": pa.array(parts, pa.int64()),
-                         "rows": pa.array(rows, pa.int64()),
-                         "file": pa.array(names, pa.string())})
-
-    spilled = keyed.map_batches(spill, batch_format="pyarrow").to_pandas()
+    shutil.rmtree(spill_dir, ignore_errors=True)
+    spilled = spill_partitions(
+        triples, _subj_part_of(num_partitions, skip=done), spill_dir)
 
     @ray.remote(num_cpus=1)
     def merge(part_id: int, files: list) -> tuple:
-        from calendar_event_entity_extraction_ray.stages.exchange import (
-            claim_crash_sentinel,
-        )
-
-        pdir = os.path.join(spill_dir, f"part={part_id}")
-        t = pa.concat_tables(
-            [pq.read_table(os.path.join(pdir, f)) for f in sorted(files)])
-        t = t.sort_by([("subj", "ascending"), ("pred", "ascending"),
-                       ("obj", "ascending")])
+        t = read_spill(spill_dir, part_id, files).sort_by(
+            [("subj", "ascending"), ("pred", "ascending"),
+             ("obj", "ascending")])
         M.write_partition_file(out_dir, part_id, t)
         # worker-loss window: partition file durable, result not yet
         # returned — the retry re-merges the SAME spill listing and
@@ -290,11 +244,8 @@ def materialize_graph(
         claim_crash_sentinel(_crash_sentinel)
         return part_id, t.num_rows
 
-    if spilled.empty or "part_id" not in spilled.columns:
-        pending = []
-    else:
-        by_part = spilled.groupby("part_id")["file"].apply(list)
-        pending = [merge.remote(int(p), files) for p, files in by_part.items()]
+    by_part = spilled.groupby("part_id")["file"].apply(list)
+    pending = [merge.remote(int(p), files) for p, files in by_part.items()]
 
     # per-partition checkpointing: record every completed merge as soon as
     # it lands (manifest saves are tiny driver-side JSON writes — the
@@ -313,7 +264,7 @@ def materialize_graph(
             }
             for part_id, rows in done_now
         }, num_partitions=num_partitions)
-    _shutil.rmtree(spill_dir, ignore_errors=True)
+    shutil.rmtree(spill_dir, ignore_errors=True)
     return M.record_partitions(out_dir, fingerprint, {},
                                num_partitions=num_partitions)
 
@@ -322,7 +273,6 @@ def append_graph(
     triples: "ray.data.Dataset",
     out_dir: str,
     epoch: str,
-    spill_dir: "str | None" = None,
     mode: str = "merge",
 ) -> dict:
     """S6b — delta ingest: distinct-union new triples into an EXISTING
@@ -360,15 +310,7 @@ def append_graph(
     and an epoch already in ``manifest["epochs"]`` is a no-op.
     Per-partition lineage rows record (rows_in_delta, rows_out) per
     epoch."""
-    import shutil as _shutil
-
-    import numpy as np
-    import pyarrow.compute as pc
-    import pyarrow.parquet as pq
-
-    from calendar_event_entity_extraction_ray.state import manifest as M
-    from calendar_event_entity_extraction_ray.stages.dedup import add_hash_column
-
+    M.check_epoch_name(epoch)
     if mode not in ("merge", "delta"):
         raise ValueError(f"append_graph: unknown mode {mode!r}")
     m = M.load_manifest(out_dir)
@@ -379,86 +321,37 @@ def append_graph(
     num_partitions = int(
         m.get("num_partitions")
         or max(int(k) for k in m["partitions"]) + 1)
-    spill_dir = spill_dir or os.path.join(out_dir, f"_spill_{epoch}")
-
-    def add_part_key(b: pa.Table) -> pa.Table:
-        b = add_hash_column(b, ["subj"], out_col="_h")
-        part = pa.array(
-            (b.column("_h").to_numpy() % num_partitions).astype(np.int32))
-        return b.drop_columns(["_h"]).append_column("part_key", part)
-
-    keyed = triples.map_batches(add_part_key, batch_format="pyarrow")
-    _shutil.rmtree(spill_dir, ignore_errors=True)
-
-    def spill(b: pa.Table) -> pa.Table:
-        import tempfile
-
-        parts, rows, names = [], [], []
-        if b.num_rows:
-            keys = b.column("part_key").to_numpy()
-            for part_id in np.unique(keys):
-                sub = b.filter(pc.equal(b.column("part_key"), int(part_id)))
-                sub = sub.drop_columns(["part_key"])
-                pdir = os.path.join(spill_dir, f"part={int(part_id)}")
-                os.makedirs(pdir, exist_ok=True)
-                fd, tmp = tempfile.mkstemp(dir=pdir, suffix=".tmp")
-                os.close(fd)
-                pq.write_table(sub, tmp, compression="none")
-                final = tmp[:-4] + ".parquet"
-                os.replace(tmp, final)
-                parts.append(int(part_id))
-                rows.append(sub.num_rows)
-                names.append(os.path.basename(final))
-        return pa.table({"part_id": pa.array(parts, pa.int64()),
-                         "rows": pa.array(rows, pa.int64()),
-                         "file": pa.array(names, pa.string())})
-
-    spilled = keyed.map_batches(spill, batch_format="pyarrow").to_pandas()
-
-    def _distinct_sorted(t: pa.Table) -> pa.Table:
-        df = t.to_pandas().drop_duplicates()
-        t = pa.Table.from_pandas(df, preserve_index=False).cast(t.schema)
-        return t.sort_by([(c, "ascending") for c in t.schema.names])
+    spill_dir = os.path.join(out_dir, f"_spill_{epoch}")
+    shutil.rmtree(spill_dir, ignore_errors=True)
+    spilled = spill_partitions(
+        triples, _subj_part_of(num_partitions), spill_dir)
 
     @ray.remote(num_cpus=1)
     def merge(part_id: int, files: list) -> tuple:
-        pdir = os.path.join(spill_dir, f"part={part_id}")
-        tabs = [pq.read_table(os.path.join(pdir, f)) for f in sorted(files)]
+        t = read_spill(spill_dir, part_id, files)
         existing = os.path.join(out_dir, f"part_key={part_id}",
                                 "data.parquet")
         if os.path.exists(existing):
-            tabs.append(pq.read_table(existing))
-        t = _distinct_sorted(pa.concat_tables(tabs,
-                                              promote_options="default"))
+            t = pa.concat_tables([t, pq.read_table(existing)],
+                                 promote_options="default")
+        t = _distinct_sorted(t)
         M.write_partition_file(out_dir, part_id, t)
         return part_id, t.num_rows
 
     @ray.remote(num_cpus=1)
     def write_delta(part_id: int, files: list) -> tuple:
         # O(delta): the base data.parquet is never opened
-        import tempfile
-
-        pdir = os.path.join(spill_dir, f"part={part_id}")
-        t = _distinct_sorted(pa.concat_tables(
-            [pq.read_table(os.path.join(pdir, f)) for f in sorted(files)],
-            promote_options="default"))
-        part_dir = os.path.join(out_dir, f"part_key={part_id}")
-        os.makedirs(part_dir, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=part_dir, suffix=".tmp")
-        os.close(fd)
-        pq.write_table(t, tmp)
-        os.replace(tmp, os.path.join(part_dir, f"delta-{epoch}.parquet"))
+        t = _distinct_sorted(read_spill(spill_dir, part_id, files))
+        M.write_parquet_atomic(t, os.path.join(out_dir, f"part_key={part_id}"),
+                               f"delta-{epoch}.parquet")
         return part_id, t.num_rows
 
     task = merge if mode == "merge" else write_delta
-    if spilled.empty or "part_id" not in spilled.columns:
-        results, rows_in = [], {}
-    else:
-        by_part = spilled.groupby("part_id")["file"].apply(list)
-        rows_in = spilled.groupby("part_id")["rows"].sum().to_dict()
-        results = ray.get(
-            [task.remote(int(p), files) for p, files in by_part.items()])
-    _shutil.rmtree(spill_dir, ignore_errors=True)
+    by_part = spilled.groupby("part_id")["file"].apply(list)
+    rows_in = spilled.groupby("part_id")["rows"].sum().to_dict()
+    results = ray.get(
+        [task.remote(int(p), files) for p, files in by_part.items()])
+    shutil.rmtree(spill_dir, ignore_errors=True)
 
     if mode == "delta":
         entries = {
@@ -498,10 +391,6 @@ def compact_graph(out_dir: str) -> dict:
     invisible, and re-running compaction converges. A crash between 2
     and 3 leaves unreferenced files that the final sweep of any later
     compaction removes."""
-    import pyarrow.parquet as pq
-
-    from calendar_event_entity_extraction_ray.state import manifest as M
-
     m = M.load_manifest(out_dir)
     todo = {pid: e for pid, e in m["partitions"].items()
             if e.get("deltas")}
@@ -514,11 +403,8 @@ def compact_graph(out_dir: str) -> dict:
             paths.append(base)
         paths += [os.path.join(out_dir, d["file"])
                   for d in entry["deltas"]]
-        t = pa.concat_tables([pq.read_table(p) for p in paths],
-                             promote_options="default")
-        df = t.to_pandas().drop_duplicates()
-        t = pa.Table.from_pandas(df, preserve_index=False).cast(t.schema)
-        t = t.sort_by([(c, "ascending") for c in t.schema.names])
+        t = _distinct_sorted(pa.concat_tables(
+            [pq.read_table(p) for p in paths], promote_options="default"))
         M.write_partition_file(out_dir, int(part_id), t)
         return part_id, t.num_rows
 

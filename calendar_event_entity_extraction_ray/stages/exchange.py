@@ -3,18 +3,21 @@
 Ray Data's built-in ``groupby``/``sort`` shuffle is sort-based and, for the
 many-small-blocks / few-partitions shapes this engine produces, costs more
 than the compute it feeds (measured in round 1; see CLAUDE.md). This module
-generalizes the explicit exchange already used by
-``pipelines/kg.py:materialize_graph`` into a reusable operator:
+holds the explicit exchange as a reusable operator:
 
-  phase 1 (map, no barrier): each block splits its rows by
-    ``hash % num_partitions`` and writes one uniquely-named spill file per
-    touched partition (atomic temp+rename), RETURNING the file names — the
-    Spark-style attempt commit: phase 2 reads only files listed by the one
-    attempt Ray kept, so retried/speculative attempts cannot duplicate
-    rows. Local disk here; shared object storage on a real cluster.
+  phase 1 (map, no barrier): ``spill_partitions`` — each block splits its
+    rows by partition id and writes one uniquely-named spill file per
+    touched partition (``state/manifest.py:write_parquet_atomic``),
+    RETURNING the (part_id, rows, file) listing — the Spark-style attempt
+    commit: phase 2 reads only files listed by the one attempt Ray kept,
+    so retried/speculative attempts cannot duplicate rows. Local disk
+    here; shared object storage on a real cluster. It is the one phase 1
+    of every hash-partitioned writer: ``hash_partition_map``,
+    ``pipelines/kg.py:materialize_graph``/``append_graph`` and the Pregel
+    edge pin (``stages/graph.py:_pin_edges``).
   phase 2 (reduce, parallel ray tasks): one task per touched partition
-    reads its spill files and applies ``fold_fn`` to the whole partition
-    table; the folded tables stay in the object store
+    reads its spill files (``read_spill``) and applies ``fold_fn`` to the
+    whole partition table; the folded tables stay in the object store
     (``ray.data.from_arrow_refs`` — never collected to the driver).
 
 Because the partition key is a uniform content hash, partitions stay
@@ -27,14 +30,20 @@ from __future__ import annotations
 import os
 import shutil
 import tempfile
-from typing import Callable, List, Optional
+import uuid
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
+import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
 
 import ray
 import ray.data
+
+from calendar_event_entity_extraction_ray.state.manifest import (
+    write_parquet_atomic,
+)
 
 
 SMALL_ROWS = 100_000           # below this, one vectorized fold task wins
@@ -108,6 +117,103 @@ def claim_crash_sentinel(path: Optional[str]) -> None:
         pass
 
 
+def spill_dir_for(prefix: str, spill_root: Optional[str] = None
+                  ) -> Tuple[str, bool]:
+    """Choose a fresh spill dir for one exchange; returns
+    ``(spill_dir, eager_cleanup)`` for ``release_spill_dir``."""
+    if spill_root:
+        # caller-owned dir (assumed unique to this exchange): pre-clean so
+        # a crashed prior attempt's files cannot double rows; cleanup is
+        # DEFERRED — the dir may be shared storage, where keeping the files
+        # lets lineage reconstruction of a lost fold output re-read them
+        shutil.rmtree(spill_root, ignore_errors=True)
+        os.makedirs(spill_root, exist_ok=True)
+        return spill_root, False
+    root = resolve_spill_root()
+    if root:
+        # configured shared root: unique dir per exchange (no cross-run
+        # clobbering), cleanup deferred as above
+        os.makedirs(root, exist_ok=True)
+        return tempfile.mkdtemp(prefix=prefix, dir=root), False
+    # node-local tempdir: single-filesystem assumption (this sandbox);
+    # safe to delete as soon as folds complete — on one node an object
+    # lost from plasma means the node (and job) is gone anyway
+    return tempfile.mkdtemp(prefix=prefix), True
+
+
+def release_spill_dir(spill_dir: str, eager_cleanup: bool) -> None:
+    """Remove a spill dir once its folds are done (node-local), or defer
+    it to ``cleanup_pending_spill`` (shared storage: keep the files so
+    lineage reconstruction of a lost fold output can re-read them)."""
+    if eager_cleanup:
+        shutil.rmtree(spill_dir, ignore_errors=True)
+    else:
+        _PENDING_SPILL_DIRS.append(spill_dir)
+
+
+def spill_partitions(
+    ds: "ray.data.Dataset",
+    part_of: Callable[[pa.Table], np.ndarray],
+    spill_dir: str,
+    _crash_sentinel: Optional[str] = None,
+) -> pd.DataFrame:
+    """Phase 1 of every hash-partitioned writer: map each block through
+    ``part_of(block) -> int64 partition ids`` and write one uniquely
+    named, uncompressed spill file per touched partition under
+    ``spill_dir/part=K/``. A negative id drops its row (nothing is
+    spilled for it). Executes ``ds`` once.
+
+    Returns the attempt-commit listing, one row ``(part_id, rows, file)``
+    per spill file. Spark-style attempt commit: every attempt writes
+    UNIQUE file names and returns them; only files in the listing (i.e.
+    from the one attempt Ray kept) may be read in phase 2, so files from
+    retried/speculative attempts are ignored and the exchange is
+    exactly-once without content-addressed naming.
+
+    ``_crash_sentinel`` (test-only, see ``claim_crash_sentinel``): the
+    first spill task to claim it dies AFTER writing its files but BEFORE
+    returning its listing — the worker-loss window the protocol exists
+    for."""
+
+    def spill(b: pa.Table) -> pa.Table:
+        parts, rows, names = [], [], []
+        if b.num_rows:
+            ids = np.asarray(part_of(b), dtype=np.int64)
+            for part_id in np.unique(ids[ids >= 0]):
+                sub = b.filter(pa.array(ids == part_id))
+                name = f"{uuid.uuid4().hex}.parquet"
+                # intermediate (merged then deleted): uncompressed saves CPU
+                write_parquet_atomic(
+                    sub, os.path.join(spill_dir, f"part={int(part_id)}"),
+                    name, compression="none")
+                parts.append(int(part_id))
+                rows.append(sub.num_rows)
+                names.append(name)
+        if names:
+            claim_crash_sentinel(_crash_sentinel)
+        return pa.table({"part_id": pa.array(parts, pa.int64()),
+                         "rows": pa.array(rows, pa.int64()),
+                         "file": pa.array(names, pa.string())})
+
+    listing = ds.map_batches(spill, batch_format="pyarrow").to_pandas()
+    if "part_id" not in listing.columns:
+        # no rows spilled: Ray hands back a column-less frame
+        listing = pd.DataFrame({"part_id": pd.Series([], dtype="int64"),
+                                "rows": pd.Series([], dtype="int64"),
+                                "file": pd.Series([], dtype=object)})
+    return listing
+
+
+def read_spill(spill_dir: str, part_id: int, files: List[str]) -> pa.Table:
+    """One partition's listed spill files as one table (file-name order).
+    Permissive promotion: unioned two-sided inputs (joins) carry the same
+    column NAMES but differing order / null-typed pad columns."""
+    pdir = os.path.join(spill_dir, f"part={part_id}")
+    return pa.concat_tables(
+        [pq.read_table(os.path.join(pdir, f)) for f in sorted(files)],
+        promote_options="permissive")
+
+
 def default_num_partitions(cap: int = 64) -> int:
     """~2x cluster CPUs (CLAUDE.md: granularity via block/partition count)."""
     try:
@@ -150,14 +256,10 @@ def hash_partition_map(
     never pinned in the object store — the path a 100 TB job takes (size
     the partition count from the job's input manifest instead).
 
-    ``_crash_sentinel`` (test-only fault injection): a path; the FIRST
-    spill task to claim it (O_EXCL) hard-kills its worker with
-    ``os._exit`` AFTER writing its spill files but BEFORE returning the
-    attempt commit — simulating the worker-loss window the protocol
-    exists for. Ray retries the task (system failure); the retry writes
-    new unique file names and only those are folded, so the dead
-    attempt's orphaned files are ignored. Pinned by
-    tests/test_exchange.py's crash-injection test.
+    ``_crash_sentinel`` (test-only fault injection) goes to phase 1
+    (``spill_partitions``): the retry writes new unique file names and
+    only those are folded, so the dead attempt's orphaned files are
+    ignored. Pinned by tests/test_exchange.py's crash-injection tests.
     """
     if num_partitions is None:
         ds = ds.materialize()
@@ -174,63 +276,13 @@ def hash_partition_map(
                 fold_fn, batch_format="pyarrow", batch_size=None)
         num_partitions = max(default_num_partitions(),
                              min(256, n_rows // TARGET_ROWS_PER_PARTITION))
-    if spill_root:
-        # caller-owned dir (assumed unique to this exchange): pre-clean so
-        # a crashed prior attempt's files cannot double rows; cleanup is
-        # DEFERRED — the dir may be shared storage, where keeping the files
-        # lets lineage reconstruction of a lost fold output re-read them
-        spill_dir = spill_root
-        shutil.rmtree(spill_dir, ignore_errors=True)
-        os.makedirs(spill_dir, exist_ok=True)
-        eager_cleanup = False
-    elif resolve_spill_root():
-        # configured shared root: unique dir per exchange (no cross-run
-        # clobbering), cleanup deferred as above
-        root = resolve_spill_root()
-        os.makedirs(root, exist_ok=True)
-        spill_dir = tempfile.mkdtemp(prefix="cee_exchange_", dir=root)
-        eager_cleanup = False
-    else:
-        # node-local tempdir: single-filesystem assumption (this sandbox);
-        # safe to delete as soon as folds complete — on one node an object
-        # lost from plasma means the node (and job) is gone anyway
-        spill_dir = tempfile.mkdtemp(prefix="cee_exchange_")
-        eager_cleanup = True
+    spill_dir, eager_cleanup = spill_dir_for("cee_exchange_", spill_root)
     n_parts = int(num_partitions)
+    listing = spill_partitions(
+        ds, lambda b: b.column(hash_col).to_numpy() % n_parts, spill_dir,
+        _crash_sentinel)
 
-    def spill(b: pa.Table) -> pa.Table:
-        # Spark-style attempt commit: every attempt writes UNIQUE file names
-        # and returns them; only files listed in the summary the driver
-        # receives (i.e. from the one attempt Ray kept) are read in phase 2.
-        # Duplicate files from retried/speculative attempts are ignored, so
-        # the exchange is exactly-once without content-addressed naming.
-        touched: List[int] = []
-        names: List[str] = []
-        if b.num_rows:
-            h = b.column(hash_col).to_numpy()
-            part = (h % n_parts).astype(np.int64)
-            for part_id in np.unique(part):
-                sub = b.filter(pa.array(part == part_id))
-                pdir = os.path.join(spill_dir, f"part={int(part_id)}")
-                os.makedirs(pdir, exist_ok=True)
-                fd, tmp = tempfile.mkstemp(dir=pdir, suffix=".tmp")
-                os.close(fd)
-                # intermediate (merged then deleted): uncompressed saves CPU
-                pq.write_table(sub, tmp, compression="none")
-                final = tmp[:-4] + ".parquet"
-                os.replace(tmp, final)  # atomic: readers never see partials
-                touched.append(int(part_id))
-                names.append(os.path.basename(final))
-        if names:
-            # fault injection (see docstring): die after spilling, before
-            # the attempt commit — exactly the window retries must survive
-            claim_crash_sentinel(_crash_sentinel)
-        return pa.table({"part_id": pa.array(touched, pa.int64()),
-                         "file": pa.array(names, pa.string())})
-
-    touched_df = ds.map_batches(spill, batch_format="pyarrow").to_pandas()
-
-    if touched_df.empty:
+    if listing.empty:
         # preserve the output schema on empty input
         shutil.rmtree(spill_dir, ignore_errors=True)
         sch = ds.schema()
@@ -243,22 +295,10 @@ def hash_partition_map(
 
     @ray.remote(num_cpus=1)
     def fold(part_id: int, files: List[str]) -> pa.Table:
-        pdir = os.path.join(spill_dir, f"part={part_id}")
-        # permissive promote: unioned two-sided inputs (joins) carry the
-        # same column NAMES but differing order / null-typed pad columns
-        t = pa.concat_tables(
-            [pq.read_table(os.path.join(pdir, f)) for f in sorted(files)],
-            promote_options="permissive")
-        return fold_fn(t)
+        return fold_fn(read_spill(spill_dir, part_id, files))
 
-    by_part = touched_df.groupby("part_id")["file"].apply(list)
+    by_part = listing.groupby("part_id")["file"].apply(list)
     refs = [fold.remote(int(p), files) for p, files in by_part.items()]
     ray.wait(refs, num_returns=len(refs))
-    if eager_cleanup:
-        # single-node: folds done, files consumed (see branch above)
-        shutil.rmtree(spill_dir, ignore_errors=True)
-    else:
-        # shared storage: keep files so lineage reconstruction of a lost
-        # fold output can re-read them; driver cleans up at job end
-        _PENDING_SPILL_DIRS.append(spill_dir)
+    release_spill_dir(spill_dir, eager_cleanup)
     return ray.data.from_arrow_refs(refs)

@@ -8,7 +8,9 @@ dedup family).
 Every iterative operator here (connected components, PageRank, BFS,
 k-core, random walks) runs on one Pregel skeleton above the small-input
 cutoffs: the symmetrized edge set is spilled into hash partitions ONCE
-(_pin_edges; CSR-sorted and cached per worker process), per-partition
+(_pin_edges, through the exchange's ``spill_partitions``, by the one
+node assignment ``_part_of`` that also routes every message; CSR-sorted
+and cached per worker process), per-partition
 vertex state lives in the object store, and rounds exchange only
 messages (labels / mass / frontiers / death notifications) as direct
 plasma refs — the edge set never moves again. The earlier formulation
@@ -19,12 +21,21 @@ replacements: BFS 5M nodes 121 s -> 18.8 s, k-core 17-round cascade
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Optional
 
 import pandas as pd
 import pyarrow as pa
 
 import ray.data
+
+from calendar_event_entity_extraction_ray.stages.dedup import hash64_columns
+from calendar_event_entity_extraction_ray.stages.exchange import (
+    read_spill,
+    release_spill_dir,
+    spill_dir_for,
+    spill_partitions,
+)
 
 # single-task union-find beats the iterative exchange up to ~2M edges
 # (measured: 2M string edges 14.6s / 2M int edges 2.9s in one fold vs a
@@ -206,18 +217,11 @@ def pagerank(
     n_parts = (int(num_partitions) if num_partitions
                else max(8, n_edges // 500_000))
 
-    from calendar_event_entity_extraction_ray.stages.dedup import (
-        hash64_columns,
-    )
-
     edge_dir, files_of, eager_cleanup = _pin_edges(
         sym, n_parts, "cee_pr_edges_")
     parts = sorted(files_of)
 
-    def part_of(values) -> "np.ndarray":
-        t = pa.table({"node": pa.array(list(values), type=node_type)})
-        h = hash64_columns(t, ["node"]).astype(np.uint64)
-        return (h % np.uint64(n_parts)).astype(np.int64)
+    part_of = partial(_part_of, node_type=node_type, n_parts=n_parts)
 
     @ray.remote(num_cpus=1)
     def init(part_id: int):
@@ -282,7 +286,7 @@ def pagerank(
             *[scat[q][p] for q in parts]) for p in parts}
     out_refs = [finalize.remote(state_ref[p], ranks_ref[p]) for p in parts]
     ray.wait(out_refs, num_returns=len(out_refs))
-    _finish_pinned(edge_dir, eager_cleanup)
+    release_spill_dir(edge_dir, eager_cleanup)
     return ray.data.from_arrow_refs(out_refs)
 
 
@@ -397,18 +401,11 @@ def _kcore_pregel(sym, node_type, k: int, max_iters: int, n_parts: int):
     that this loop finishes in a few seconds)."""
     import numpy as np
 
-    from calendar_event_entity_extraction_ray.stages.dedup import (
-        hash64_columns,
-    )
-
     edge_dir, files_of, eager_cleanup = _pin_edges(
         sym, n_parts, "cee_kcore_edges_")
     parts = sorted(files_of)
 
-    def part_of(values) -> "np.ndarray":
-        t = pa.table({"node": pa.array(list(values), type=node_type)})
-        h = hash64_columns(t, ["node"]).astype(np.uint64)
-        return (h % np.uint64(n_parts)).astype(np.int64)
+    part_of = partial(_part_of, node_type=node_type, n_parts=n_parts)
 
     @ray.remote(num_cpus=1)
     def step(part_id: int, state, *msgs):
@@ -492,7 +489,7 @@ def _kcore_pregel(sym, node_type, k: int, max_iters: int, n_parts: int):
 
     out_refs = [finalize.remote(state_ref[p]) for p in parts
                 if state_ref[p] is not None]
-    _finish_pinned(edge_dir, eager_cleanup)
+    release_spill_dir(edge_dir, eager_cleanup)
     if not out_refs:
         return ray.data.from_arrow(pa.table({
             "node": pa.array([], node_type),
@@ -608,10 +605,7 @@ _EDGE_CACHE: dict = {"dir": None, "parts": {}}
 
 def _edge_csr(edge_dir: str, part_id: int, files: tuple,
               dedup: bool = True):
-    import os
-
     import numpy as np
-    import pyarrow.parquet as pq
 
     if _EDGE_CACHE["dir"] != edge_dir:
         _EDGE_CACHE["dir"] = edge_dir
@@ -619,9 +613,7 @@ def _edge_csr(edge_dir: str, part_id: int, files: tuple,
     key = (part_id, dedup)
     got = _EDGE_CACHE["parts"].get(key)
     if got is None:
-        pdir = os.path.join(edge_dir, f"part={part_id}")
-        t = pa.concat_tables([pq.read_table(os.path.join(pdir, f))
-                              for f in sorted(files)])
+        t = read_spill(edge_dir, part_id, files)
         # partition-local distinct == global distinct (all copies of an
         # edge share the source node, hence the partition); k-core
         # degree counting REQUIRES it, BFS is merely insensitive to it.
@@ -642,85 +634,35 @@ def _edge_csr(edge_dir: str, part_id: int, files: tuple,
     return got
 
 
+def _part_of(nodes, node_type, n_parts: int) -> "np.ndarray":
+    """Partition of each node: ``hash64_columns(node) % n_parts``. The one
+    assignment ``_pin_edges`` spills edges by, so every Pregel message
+    reaches the partition that holds its node's edges and state."""
+    if not isinstance(nodes, pa.ChunkedArray):
+        nodes = pa.array(nodes, type=node_type)
+    return hash64_columns(pa.table({"node": nodes}), ["node"]) % n_parts
+
+
 def _pin_edges(sym, n_parts: int, prefix: str):
     """Spill a symmetrized (node, dst) edge dataset into hash partitions
-    ONCE (attempt-commit file naming, same protocol as the exchange) —
-    the static build side of the Pregel loops. Returns
-    (edge_dir, files_of, eager_cleanup); obeys CEE_SPILL_ROOT."""
-    import os
-    import tempfile
-
-    import numpy as np
-    import pyarrow.parquet as pq
-
-    from calendar_event_entity_extraction_ray.stages.dedup import (
-        hash64_columns,
-    )
-    from calendar_event_entity_extraction_ray.stages.exchange import (
-        resolve_spill_root,
-    )
-
-    root = resolve_spill_root()
-    if root:
-        os.makedirs(root, exist_ok=True)
-        edge_dir = tempfile.mkdtemp(prefix=prefix, dir=root)
-        eager_cleanup = False
-    else:
-        edge_dir = tempfile.mkdtemp(prefix=prefix)
-        eager_cleanup = True
-
-    def spill(b: pa.Table) -> pa.Table:
-        touched, names = [], []
-        if b.num_rows:
-            h = hash64_columns(b, ["node"]).astype(np.uint64)
-            part = (h % np.uint64(n_parts)).astype(np.int64)
-            for part_id in np.unique(part):
-                sub = b.filter(pa.array(part == part_id))
-                pdir = os.path.join(edge_dir, f"part={int(part_id)}")
-                os.makedirs(pdir, exist_ok=True)
-                fd, tmp = tempfile.mkstemp(dir=pdir, suffix=".tmp")
-                os.close(fd)
-                pq.write_table(sub, tmp, compression="none")
-                final = tmp[:-4] + ".parquet"
-                os.replace(tmp, final)
-                touched.append(int(part_id))
-                names.append(os.path.basename(final))
-        return pa.table({"part_id": pa.array(touched, pa.int64()),
-                         "file": pa.array(names, pa.string())})
-
-    touched = sym.map_batches(spill, batch_format="pyarrow").to_pandas()
+    ONCE through the exchange's phase 1 — the static build side of the
+    Pregel loops. Returns (edge_dir, files_of, eager_cleanup); the caller
+    hands the last two to ``release_spill_dir``. Obeys CEE_SPILL_ROOT."""
+    edge_dir, eager_cleanup = spill_dir_for(prefix)
+    listing = spill_partitions(
+        sym, lambda b: _part_of(b.column("node"), None, n_parts), edge_dir)
     files_of = {int(p): tuple(sorted(fs)) for p, fs in
-                touched.groupby("part_id")["file"].apply(list).items()}
+                listing.groupby("part_id")["file"].apply(list).items()}
     return edge_dir, files_of, eager_cleanup
-
-
-def _finish_pinned(edge_dir: str, eager_cleanup: bool) -> None:
-    import shutil
-
-    from calendar_event_entity_extraction_ray.stages.exchange import (
-        _PENDING_SPILL_DIRS,
-    )
-
-    if eager_cleanup:
-        shutil.rmtree(edge_dir, ignore_errors=True)
-    else:
-        _PENDING_SPILL_DIRS.append(edge_dir)
 
 
 def _bfs_pregel(sym, node_type, sources, max_depth: int, n_parts: int):
     import numpy as np
 
-    from calendar_event_entity_extraction_ray.stages.dedup import (
-        hash64_columns,
-    )
-
     edge_dir, files_of, eager_cleanup = _pin_edges(
         sym, n_parts, "cee_bfs_edges_")
 
-    def part_of(values) -> np.ndarray:
-        t = pa.table({"node": pa.array(values, type=node_type)})
-        h = hash64_columns(t, ["node"]).astype(np.uint64)
-        return (h % np.uint64(n_parts)).astype(np.int64)
+    part_of = partial(_part_of, node_type=node_type, n_parts=n_parts)
 
     empty_labels = pa.table({"node": pa.array([], node_type),
                              "dist": pa.array([], pa.int64())})
@@ -793,7 +735,7 @@ def _bfs_pregel(sym, node_type, sources, max_depth: int, n_parts: int):
             fsize[q] = nref
         fsize = {q: ray.get(r) for q, r in fsize.items()}
 
-    _finish_pinned(edge_dir, eager_cleanup)
+    release_spill_dir(edge_dir, eager_cleanup)
     return ray.data.from_arrow_refs(
         [labels_ref[q] for q in range(n_parts)])
 
@@ -865,10 +807,6 @@ def random_walks(
     no assembly shuffle (the row form is already complete)."""
     import numpy as np
 
-    from calendar_event_entity_extraction_ray.stages.dedup import (
-        hash64_columns,
-    )
-
     sym = _sym_local_distinct(edges, a_col, b_col).materialize()
     sch = sym.schema()
     n_edges = sym.count() if sch is not None else 0
@@ -891,10 +829,7 @@ def random_walks(
         sym, n_parts, "cee_walk_edges_")
     parts = sorted(files_of)
 
-    def part_of(values) -> "np.ndarray":
-        t = pa.table({"node": pa.array(list(values), type=node_type)})
-        h = hash64_columns(t, ["node"]).astype(np.uint64)
-        return (h % np.uint64(n_parts)).astype(np.int64)
+    part_of = partial(_part_of, node_type=node_type, n_parts=n_parts)
 
     @ray.remote(num_cpus=1)
     def step_task(part_id: int, trace, step: int, *walkers):
@@ -948,7 +883,7 @@ def random_walks(
     out_refs = [finalize.remote(trace_ref[p]) for p in parts
                 if trace_ref[p] is not None]
     ray.wait(out_refs, num_returns=len(out_refs))
-    _finish_pinned(edge_dir, eager_cleanup)
+    release_spill_dir(edge_dir, eager_cleanup)
     return ray.data.from_arrow_refs(out_refs)
 
 
@@ -1002,18 +937,11 @@ def _cc_pregel(sym, node_type, n_parts: int, max_iters: int):
     pin. Terminates when a round changes no label."""
     import numpy as np
 
-    from calendar_event_entity_extraction_ray.stages.dedup import (
-        hash64_columns,
-    )
-
     edge_dir, files_of, eager_cleanup = _pin_edges(
         sym, n_parts, "cee_cc_edges_")
     parts = sorted(files_of)
 
-    def part_of(values) -> "np.ndarray":
-        t = pa.table({"node": pa.array(list(values), type=node_type)})
-        h = hash64_columns(t, ["node"]).astype(np.uint64)
-        return (h % np.uint64(n_parts)).astype(np.int64)
+    part_of = partial(_part_of, node_type=node_type, n_parts=n_parts)
 
     def _empty_pair():
         e = np.empty(0, dtype=object)
@@ -1141,7 +1069,7 @@ def _cc_pregel(sym, node_type, n_parts: int, max_iters: int):
 
     out_refs = [finalize.remote(state_ref[p]) for p in parts]
     ray.wait(out_refs, num_returns=len(out_refs))
-    _finish_pinned(edge_dir, eager_cleanup)
+    release_spill_dir(edge_dir, eager_cleanup)
     return ray.data.from_arrow_refs(out_refs)
 
 
@@ -1216,10 +1144,6 @@ def label_propagation(
     argmax-with-min-tie per node."""
     import numpy as np
 
-    from calendar_event_entity_extraction_ray.stages.dedup import (
-        hash64_columns,
-    )
-
     sym = _sym_local_distinct(edges, a_col, b_col).materialize()
     sch = sym.schema()
     n_edges = sym.count() if sch is not None else 0
@@ -1245,10 +1169,7 @@ def label_propagation(
         sym, n_parts, "cee_lpa_edges_")
     parts = sorted(files_of)
 
-    def part_of(values) -> "np.ndarray":
-        t = pa.table({"node": pa.array(list(values), type=node_type)})
-        h = hash64_columns(t, ["node"]).astype(np.uint64)
-        return (h % np.uint64(n_parts)).astype(np.int64)
+    part_of = partial(_part_of, node_type=node_type, n_parts=n_parts)
 
     @ray.remote(num_cpus=1)
     def init(part_id: int):
@@ -1303,5 +1224,5 @@ def label_propagation(
             state_ref[p], *[scat[q][p] for q in parts]) for p in parts}
     out_refs = [finalize.remote(state_ref[p]) for p in parts]
     ray.wait(out_refs, num_returns=len(out_refs))
-    _finish_pinned(edge_dir, eager_cleanup)
+    release_spill_dir(edge_dir, eager_cleanup)
     return ray.data.from_arrow_refs(out_refs)

@@ -45,6 +45,9 @@ from calendar_event_entity_extraction_ray.stages.storegc import (
     orphan_files,
     remove_files_and_prune_dirs,
 )
+from calendar_event_entity_extraction_ray.state.manifest import (
+    write_parquet_atomic,
+)
 
 FORMAT_VERSION = 1
 
@@ -186,9 +189,10 @@ def _fold_epoch(store: KeyedStore, state_dir: str, state: dict,
                              "rows": pa.array([], pa.int64())})
         out = merge_rows(store, t, key)
         k = int(t.column("_kh")[0].as_py()) % P
-        rel = os.path.join(ed, f"part={k}", f"s-{uuid.uuid4().hex}.parquet")
-        os.makedirs(os.path.join(state_dir, ed, f"part={k}"), exist_ok=True)
-        pq.write_table(out, os.path.join(state_dir, rel))
+        name = f"s-{uuid.uuid4().hex}.parquet"
+        rel = os.path.join(ed, f"part={k}", name)
+        write_parquet_atomic(out, os.path.dirname(os.path.join(state_dir, rel)),
+                             name)
         return pa.table({"file": pa.array([rel], pa.string()),
                          "rows": pa.array([out.num_rows], pa.int64())})
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
+import uuid
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -34,6 +34,11 @@ import pyarrow.parquet as pq
 
 import ray
 import ray.data
+
+from calendar_event_entity_extraction_ray.state.manifest import (
+    check_epoch_name,
+    write_parquet_atomic,
+)
 
 MANIFEST = "_MANIFEST.json"
 
@@ -117,8 +122,8 @@ def build_ivf_store(
     def write_cell(t: pa.Table) -> pa.Table:
         # partition id == cell id (hash col IS the cell, 0 <= cell < n):
         # one fold task per cell writes that cell's single file. Unique
-        # temp names + atomic rename: a retried attempt leaves an orphan
-        # the manifest never lists.
+        # names + atomic write: a retried attempt leaves an orphan the
+        # manifest never lists.
         if t.num_rows == 0:
             return pa.table({"cell": pa.array([], pa.int64()),
                              "rows": pa.array([], pa.int64()),
@@ -135,14 +140,9 @@ def build_ivf_store(
             body = body.append_column(
                 "pq_code", pa.FixedSizeListArray.from_arrays(
                     pa.array(codes.ravel(), pa.uint8()), cb.shape[0]))
-        cdir = os.path.join(out_dir, f"cell={cell}")
-        os.makedirs(cdir, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=cdir, suffix=".tmp")
-        os.close(fd)
-        pq.write_table(body, tmp)
-        final = tmp[:-4] + ".parquet"
-        os.replace(tmp, final)
-        rel = os.path.join(f"cell={cell}", os.path.basename(final))
+        rel = os.path.join(f"cell={cell}", f"{uuid.uuid4().hex}.parquet")
+        write_parquet_atomic(body, os.path.join(out_dir, f"cell={cell}"),
+                             os.path.basename(rel))
         return pa.table({"cell": pa.array([cell], pa.int64()),
                          "rows": pa.array([t.num_rows], pa.int64()),
                          "file": pa.array([rel], pa.string())})
@@ -599,6 +599,7 @@ def append_ivf_store(
         run_stage,
     )
 
+    check_epoch_name(epoch)
     mpath = os.path.join(out_dir, MANIFEST)
     with open(mpath) as f:
         manifest = json.load(f)
@@ -638,13 +639,9 @@ def append_ivf_store(
             body = body.append_column(
                 "pq_code", pa.FixedSizeListArray.from_arrays(
                     pa.array(codes.ravel(), pa.uint8()), cb.shape[0]))
-        cdir = os.path.join(out_dir, f"cell={cell}")
-        os.makedirs(cdir, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=cdir, suffix=".tmp")
-        os.close(fd)
-        pq.write_table(body, tmp)
-        final = os.path.join(cdir, f"delta-{epoch}.parquet")
-        os.replace(tmp, final)
+        final = write_parquet_atomic(
+            body, os.path.join(out_dir, f"cell={cell}"),
+            f"delta-{epoch}.parquet")
         # worker-loss window: delta file durable, fold not returned —
         # the retry rewrites the SAME deterministic name atomically;
         # the manifest (written by the driver after all folds) lists
@@ -720,13 +717,8 @@ def compact_ivf_store(out_dir: str) -> dict:
         if dup.any():
             t = t.filter(pa.array(~dup))
         t = t.sort_by(id_col)
-        cdir = os.path.join(out_dir, f"cell={cell}")
-        os.makedirs(cdir, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=cdir, suffix=".tmp")
-        os.close(fd)
-        pq.write_table(t, tmp)
-        final = os.path.join(cdir, "data.parquet")
-        os.replace(tmp, final)
+        write_parquet_atomic(t, os.path.join(out_dir, f"cell={cell}"),
+                             "data.parquet")
         # delta side files are NOT deleted here: the manifest write is
         # the commit point, and until it lands the manifest still lists
         # them — readers in the crash window scan folded-base + deltas,

@@ -58,6 +58,10 @@ import pyarrow.parquet as pq
 import ray
 import ray.data
 
+from calendar_event_entity_extraction_ray.state.manifest import (
+    write_parquet_atomic,
+)
+
 WMSTATE = "_WMSTATE.json"
 DEFAULT_PARTITIONS = 16
 
@@ -116,12 +120,9 @@ def _write_shard(state_dir: str, subdir: str, part: int, prefix: str,
                  table: pa.Table) -> str:
     """Write a uniquely-named shard under state_dir/subdir/part=<k>/ and
     return its state-dir-relative path (the attempt-commit unit)."""
-    pdir = os.path.join(state_dir, subdir, f"part={part}")
-    os.makedirs(pdir, exist_ok=True)
     name = f"{prefix}-{uuid.uuid4().hex}.parquet"
-    tmp = os.path.join(pdir, name + ".tmp")
-    pq.write_table(table, tmp)
-    os.replace(tmp, os.path.join(pdir, name))
+    write_parquet_atomic(
+        table, os.path.join(state_dir, subdir, f"part={part}"), name)
     return os.path.join(subdir, f"part={part}", name)
 
 

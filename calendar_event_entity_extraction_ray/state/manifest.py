@@ -46,19 +46,39 @@ def completed_partitions(out_dir: str, fingerprint: str) -> set:
     return set(int(k) for k in m["partitions"])
 
 
-def write_partition_file(out_dir: str, part_id: int, table: pa.Table) -> str:
-    """Atomic per-partition data write (temp file + rename). Safe to call
-    concurrently from many workers — it does NOT touch the manifest; the
-    DRIVER records completed partitions afterwards (a shared-manifest
-    read-modify-write from workers would race and lose entries)."""
-    part_dir = os.path.join(out_dir, f"part_key={part_id}")
-    os.makedirs(part_dir, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=part_dir, suffix=".parquet.tmp")
+def write_parquet_atomic(table: pa.Table, out_dir: str, name: str,
+                         compression: str = "snappy") -> str:
+    """Write ``table`` to ``out_dir/name`` atomically (temp file + rename) and
+    return the path: a reader, or a retried attempt writing the same
+    name, never sees a partial file. The one Parquet write of every
+    attempt-commit path (exchange spills, partition files, store shards)."""
+    os.makedirs(out_dir, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=out_dir, suffix=".tmp")
     os.close(fd)
-    pq.write_table(table, tmp)
-    final = os.path.join(part_dir, "data.parquet")
+    pq.write_table(table, tmp, compression=compression)
+    final = os.path.join(out_dir, name)
     os.replace(tmp, final)
     return final
+
+
+def write_partition_file(out_dir: str, part_id: int, table: pa.Table) -> str:
+    """Atomic per-partition data write. Safe to call concurrently from
+    many workers — it does NOT touch the manifest; the DRIVER records
+    completed partitions afterwards (a shared-manifest read-modify-write
+    from workers would race and lose entries)."""
+    return write_parquet_atomic(
+        table, os.path.join(out_dir, f"part_key={part_id}"), "data.parquet")
+
+
+def check_epoch_name(epoch: str) -> None:
+    """Epoch ids become file and directory names (``delta-{epoch}.parquet``,
+    ``_spill_{epoch}``): reject one that is not a single path component
+    before anything is written."""
+    seps = {"/", os.sep, os.altsep} - {None}
+    if epoch in ("", ".", "..") or any(s in epoch for s in seps):
+        raise ValueError(
+            f"epoch {epoch!r} is not a valid file name: it must be "
+            f"non-empty, not '.' or '..', and contain no path separator")
 
 
 def record_partitions(

@@ -11,12 +11,13 @@ Reads Parquet pages (or renders the deterministic synthetic corpus when
 --pages is given), runs the flagship pipeline, writes the hash-partitioned
 graph + _MANIFEST.json (resumable: re-running with the same fingerprint
 skips completed partitions) + METRICS.json (row counters, docs/sec,
-concurrency).
+cpus).
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import sys
 import time
 
@@ -35,10 +36,11 @@ def main() -> int:
                          "rows/partition — the merge phase sorts each "
                          "partition single-threaded, so the count must "
                          "scale with data volume)")
-    ap.add_argument("--concurrency", type=int, default=0,
-                    help="extract pool size (default: cpus-1)")
     ap.add_argument("--fingerprint", default="",
-                    help="resume fingerprint (default: derived from input)")
+                    help="resume fingerprint, also the --append epoch "
+                         "(default: synth-SEED-PAGES for --pages; "
+                         "input-<first 16 hex of sha256(--input string)> "
+                         "for --input)")
     ap.add_argument("--append", action="store_true",
                     help="delta-ingest into an EXISTING graph at --out: "
                          "distinct-union the new pages' triples into the "
@@ -168,7 +170,6 @@ def main() -> int:
         return 0
 
     ncpu = int(ray.cluster_resources().get("CPU", 8))
-    conc = args.concurrency or max(2, ncpu - 1)
 
     # Cold-start floor: the first plan execution spawns the worker pool
     # (each worker imports ray.data/pandas/pyarrow — ~20s at 32 procs on
@@ -186,7 +187,7 @@ def main() -> int:
     if args.pages:
         n_docs = args.pages
         ids = ray.data.range(args.pages, override_num_blocks=max(ncpu * 4, 8))
-        triples = kg_triples(ids, extract_concurrency=conc, gen_seed=args.seed)
+        triples = kg_triples(ids, gen_seed=args.seed)
         fingerprint = args.fingerprint or f"synth-{args.seed}-{args.pages}"
     else:
         if not args.input:
@@ -212,8 +213,11 @@ def main() -> int:
                 for f in os.listdir(args.input) if f.endswith(".parquet"))
         else:
             n_docs = pages.count()
-        triples = kg_triples(pages, extract_concurrency=conc)
-        fingerprint = args.fingerprint or f"input-{args.input}"
+        triples = kg_triples(pages)
+        # a digest, not the path: the fingerprint is also the append
+        # epoch, which names files (delta-{epoch}.parquet)
+        fingerprint = args.fingerprint or "input-" + hashlib.sha256(
+            args.input.encode()).hexdigest()[:16]
 
     if args.resolve_entities:
         # the canonical rewrite dedups per batch; the graph materialize's
@@ -258,7 +262,6 @@ def main() -> int:
         "partitions": len(manifest["partitions"]),
         "fingerprint": fingerprint,
         "num_cpus": ncpu,
-        "extract_concurrency": conc,
     }
     write_metrics(args.out, metrics)
     # output + manifest durable on disk -> deferred shared-root spill dirs

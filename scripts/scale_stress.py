@@ -167,7 +167,7 @@ def op_kg(rows: int, blocks: int) -> dict:
     out_dir = "/tmp/graft_stress/graph"
     shutil.rmtree(out_dir, ignore_errors=True)
     ids = ray.data.range(rows, override_num_blocks=blocks)
-    triples = kg_triples(ids, extract_concurrency=31, gen_seed=42)
+    triples = kg_triples(ids, gen_seed=42)
     manifest = materialize_graph(
         triples, out_dir, fingerprint=f"stress-{rows}",
         num_partitions=max(16, rows // 50_000))

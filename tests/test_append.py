@@ -172,6 +172,43 @@ class TestAppendGraph:
                          str(tmp_path / "missing"), epoch="e")
 
 
+def _tree(root: str) -> list:
+    """Every path under ``root`` (dirs and files), relative and sorted."""
+    return sorted(os.path.relpath(os.path.join(d, n), root)
+                  for d, dirs, files in os.walk(root) for n in dirs + files)
+
+
+class TestEpochName:
+    def test_path_like_epoch_rejected_before_any_write(self, ray_session,
+                                                       tmp_path):
+        """Epochs name files (``delta-{epoch}.parquet``, ``_spill_{epoch}``):
+        an empty, dot or separator-bearing epoch raises ValueError in both
+        modes and leaves the manifest bytes and the listing unchanged."""
+        from calendar_event_entity_extraction_ray.pipelines.kg import (
+            append_graph,
+            kg_triples,
+            materialize_graph,
+        )
+        from calendar_event_entity_extraction_ray.state.manifest import (
+            MANIFEST_NAME,
+        )
+
+        out = str(tmp_path / "graph")
+        materialize_graph(kg_triples(_pages_slice(0, 40)), out,
+                          fingerprint="base", num_partitions=2)
+        with open(os.path.join(out, MANIFEST_NAME), "rb") as f:
+            manifest_before = f.read()
+        tree_before = _tree(out)
+        for epoch in ["", ".", "..", "input-/data/pages.parquet", "a/b"]:
+            for mode in ("delta", "merge"):
+                with pytest.raises(ValueError, match="not a valid file name"):
+                    append_graph(kg_triples(_pages_slice(40, 60)), out,
+                                 epoch=epoch, mode=mode)
+                with open(os.path.join(out, MANIFEST_NAME), "rb") as f:
+                    assert f.read() == manifest_before
+                assert _tree(out) == tree_before
+
+
 class TestDeltaModeAndCompaction:
     """LSM-style append (mode='delta'): O(delta) writes — the base
     Parquet is never read or rewritten; readers distinct-union base +

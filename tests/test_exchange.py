@@ -159,3 +159,104 @@ class TestCrashInjection:
         pd.testing.assert_frame_equal(out.reset_index(drop=True),
                                       control.reset_index(drop=True))
         assert int(out["sum_v"].sum()) == n
+
+    def test_spill_partitions_worker_loss_listing_matches_control(
+            self, ray_session, tmp_path):
+        """The same window, one level down: a spill task of
+        ``spill_partitions`` dies after writing its files, before
+        returning its listing. The retried listing must equal the
+        uninjected control's (file names aside — they are unique per
+        attempt) and the dead attempt's files must be unlisted orphans."""
+        import ray
+
+        n = 40_000
+        tbl = pa.table({
+            "h": pa.array(np.arange(n, dtype=np.int64) % 97),
+            "v": pa.array(np.arange(n, dtype=np.int64)),
+        })
+
+        def part_of(b: pa.Table) -> np.ndarray:
+            return b.column("h").to_numpy() % 8
+
+        def run(spill_dir, sentinel=None):
+            listing = X.spill_partitions(
+                ray.data.from_arrow(tbl).repartition(8), part_of,
+                spill_dir, sentinel)
+            pairs = sorted(zip(listing["part_id"], listing["rows"]))
+            content = {
+                int(p): X.read_spill(spill_dir, int(p), files).to_pandas()
+                .sort_values("v").reset_index(drop=True)
+                for p, files in listing.groupby("part_id")["file"]
+                .apply(list).items()}
+            return listing, pairs, content
+
+        _, control_pairs, control = run(str(tmp_path / "control"))
+        sentinel = str(tmp_path / "crash_once")
+        spill_dir = str(tmp_path / "injected")
+        listing, pairs, content = run(spill_dir, sentinel)
+
+        assert os.path.exists(sentinel), "injection never fired"
+        assert pairs == control_pairs
+        assert content.keys() == control.keys()
+        for p in control:
+            pd.testing.assert_frame_equal(content[p], control[p])
+        on_disk = [f for d in os.listdir(spill_dir)
+                   for f in os.listdir(os.path.join(spill_dir, d))]
+        assert len(on_disk) > len(listing)  # the dead attempt's orphans
+
+
+class TestSpillPartitions:
+    """``spill_partitions`` — the one phase 1 behind every
+    hash-partitioned writer (exchange, graph materialize/append, the
+    Pregel edge pin)."""
+
+    def test_files_hold_only_their_partition(self, ray_session, tmp_path):
+        import ray
+
+        from calendar_event_entity_extraction_ray.stages.dedup import (
+            hash64_columns,
+        )
+
+        P = 5
+        keys = [f"k{i % 211}" for i in range(6000)]
+        ds = ray.data.from_arrow(pa.table({
+            "key": pa.array(keys), "v": pa.array(np.arange(6000))}),
+        ).repartition(6)
+        spill_dir = str(tmp_path / "spill")
+        listing = X.spill_partitions(
+            ds, lambda b: hash64_columns(b, ["key"]) % P, spill_dir)
+        assert len(listing) > P  # several blocks touch each partition
+        for r in listing.itertuples():
+            t = pq.read_table(os.path.join(spill_dir, f"part={r.part_id}",
+                                           r.file))
+            assert t.num_rows == r.rows
+            got = hash64_columns(t, ["key"]) % P
+            assert (got == r.part_id).all()
+
+    @pytest.mark.parametrize("n", [0, 5000])
+    def test_listing_rows_sum_to_input(self, ray_session, tmp_path, n):
+        import ray
+
+        ds = ray.data.from_arrow(pa.table({
+            "h": pa.array(np.arange(n, dtype=np.int64)),
+            "v": pa.array(np.ones(n, dtype=np.int64))}))
+        if n:
+            ds = ds.repartition(4)
+        listing = X.spill_partitions(
+            ds, lambda b: b.column("h").to_numpy() % 7,
+            str(tmp_path / "spill"))
+        assert list(listing.columns) == ["part_id", "rows", "file"]
+        assert int(listing["rows"].sum()) == n
+        if n == 0:
+            assert listing.empty
+
+    def test_negative_id_drops_row(self, ray_session, tmp_path):
+        import ray
+
+        ds = ray.data.from_arrow(pa.table({
+            "h": pa.array(np.arange(100, dtype=np.int64))}))
+        listing = X.spill_partitions(
+            ds, lambda b: np.where(b.column("h").to_numpy() < 30, -1, 1),
+            str(tmp_path / "spill"))
+        assert listing["part_id"].tolist() == [1]
+        assert int(listing["rows"].sum()) == 70

@@ -24,7 +24,7 @@ def kg_output(ray_session, fixture_pages, tmp_path_factory):
 
     out_dir = str(tmp_path_factory.mktemp("kg") / "graph")
     pages = synth_pages_dataset(400, seed=42)
-    triples = kg_triples(pages, extract_concurrency=(1, 2), link_concurrency=1)
+    triples = kg_triples(pages)
     manifest = materialize_graph(triples, out_dir, fingerprint="fx400", num_partitions=8)
     table = read_output(out_dir)
     return out_dir, manifest, table

@@ -53,14 +53,43 @@ class TestMalformedPages:
 
 class TestStagedFusedEquivalence:
     def test_identical_output(self, ray_session):
+        """The fused task UDF == the stage kernels composed on the driver
+        (S1 html->text, lang filter, S2 extract, S3 emit, S4 link, S5
+        dedup) over the same pages."""
+        from calendar_event_entity_extraction_ray.functions.linking import (
+            default_alias_rows,
+        )
         from calendar_event_entity_extraction_ray.pipelines.kg import (
             kg_triples,
             synth_pages_dataset,
         )
+        from calendar_event_entity_extraction_ray.sources.pages import (
+            pages_table,
+        )
+        from calendar_event_entity_extraction_ray.stages.dedup import (
+            dedup_triples_batch,
+        )
+        from calendar_event_entity_extraction_ray.stages.emit_triples import (
+            emit_triples_batch,
+        )
+        from calendar_event_entity_extraction_ray.stages.extract_events import (
+            ExtractEvents,
+        )
+        from calendar_event_entity_extraction_ray.stages.html_to_text import (
+            filter_lang,
+            html_to_text_batch,
+        )
+        from calendar_event_entity_extraction_ray.stages.link_entities import (
+            LinkEntities,
+        )
 
-        def triple_set(fused):
-            ds = kg_triples(synth_pages_dataset(150, seed=9), fused=fused)
-            df = ds.to_pandas()
+        def triple_set(df):
             return set(zip(df["subj"], df["pred"], df["obj"]))
 
-        assert triple_set(True) == triple_set(False)
+        fused = kg_triples(synth_pages_dataset(150, seed=9)).to_pandas()
+        t = filter_lang(html_to_text_batch(pages_table(range(150), seed=9)))
+        t = emit_triples_batch(ExtractEvents()(t))
+        t = LinkEntities(alias_ref=default_alias_rows())(t)
+        staged = dedup_triples_batch(t).to_pandas()
+        assert len(staged) > 0
+        assert triple_set(fused) == triple_set(staged)

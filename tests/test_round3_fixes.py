@@ -298,6 +298,33 @@ class TestSpillRoot:
         assert not [d for d in os.listdir(root)
                     if d.startswith("cee_exchange_")]
 
+    def test_pregel_edge_pin_defers_cleanup(self, ray_session, tmp_path,
+                                            monkeypatch):
+        """A Pregel loop with ``num_partitions`` set pins its edges
+        through the exchange's phase 1 under the shared root and hands
+        the edge dir to ``cleanup_pending_spill`` instead of deleting
+        it."""
+        import ray
+
+        from calendar_event_entity_extraction_ray.stages.graph import (
+            connected_components,
+        )
+
+        root = str(tmp_path / "shared_spill")
+        monkeypatch.setenv(X.SPILL_ROOT_ENV, root)
+        X.cleanup_pending_spill()  # drain dirs deferred by earlier tests
+
+        ds = ray.data.from_items(
+            [{"a": i, "b": i + 1} for i in range(0, 40, 2)])
+        out = connected_components(ds, "a", "b",
+                                   num_partitions=3).to_pandas()
+        assert len(out) == 40
+        kept = [d for d in os.listdir(root) if d.startswith("cee_cc_edges_")]
+        assert len(kept) == 1
+        assert os.listdir(os.path.join(root, kept[0]))  # part=K dirs
+        assert X.cleanup_pending_spill() == 1
+        assert not os.listdir(root)
+
 
 class TestAsofHotKeySplit:
     def test_one_key_holds_all_rows_matches_pandas(self, ray_session):

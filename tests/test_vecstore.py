@@ -79,6 +79,24 @@ class TestIvfStore:
 
 
 class TestIvfStoreAppend:
+    def test_path_like_epoch_rejected_before_any_write(self, store):
+        import os
+
+        from calendar_event_entity_extraction_ray.stages.vecstore import (
+            append_ivf_store,
+        )
+
+        out, _, _, ds = store
+        before = sorted(os.listdir(out))
+        with open(os.path.join(out, "_MANIFEST.json"), "rb") as f:
+            manifest_before = f.read()
+        for epoch in ["", "..", "input-/data/emb.parquet"]:
+            with pytest.raises(ValueError, match="not a valid file name"):
+                append_ivf_store(ds, out, epoch=epoch)
+        assert sorted(os.listdir(out)) == before
+        with open(os.path.join(out, "_MANIFEST.json"), "rb") as f:
+            assert f.read() == manifest_before
+
     def test_append_query_compact_cycle(self, store, tmp_path):
         import json
         import os
