@@ -31,16 +31,22 @@ the manifest last, atomically — re-running a recorded epoch is a no-op,
 a crash mid-epoch leaves the previous manifest authoritative and the
 re-run converges (drops are a pure function of (store, epoch input)).
 
-    store_dir/_EMBMANIFEST.json   {"k", "tau", "iters", "id_col",
-                                   "vec_col", "centroids",
+    store_dir/_EMBMANIFEST.json   {"format_version",
+                                   "params": {"k", "tau", "iters",
+                                              "id_col", "vec_col"},
+                                   "centroids",
                                    "epochs": {e: {"cells": {c: {...}},
-                                              "rows": N}}}
+                                              "rows": N}},
+                                   after compaction: "compaction_gen",
+                                   "compacted_epochs"}
     store_dir/epoch=<e>/cell=<c>/em-<uuid>.parquet   (id, vec)
+
+The first epoch pins ``params``; a later one with other params, or a
+dir without ``format_version``, is rejected (state/manifest.py).
 """
 
 from __future__ import annotations
 
-import json
 import os
 import uuid
 from typing import List, Optional, Tuple
@@ -60,28 +66,23 @@ from calendar_event_entity_extraction_ray.stages.ml import (
 from calendar_event_entity_extraction_ray.stages.semdedup import (
     _unit_rows,
 )
+from calendar_event_entity_extraction_ray.stages.storegc import (
+    base_epoch,
+    commit_compaction,
+    prune_orphans,
+)
+from calendar_event_entity_extraction_ray.state.manifest import (
+    StateFile,
+    pin_params,
+    write_parquet_atomic,
+)
 
 _MANIFEST = "_EMBMANIFEST.json"
+STATE = StateFile(_MANIFEST, {"params": None, "centroids": None,
+                              "epochs": {}})
 # rows per side of one similarity block: a block is at most CHUNK x CHUNK
 # float64 (512 MB) whatever the size of a cell's stored files or epoch
 CHUNK = 8192
-
-
-def _load_manifest(store_dir: str) -> dict:
-    p = os.path.join(store_dir, _MANIFEST)
-    if not os.path.exists(p):
-        return {"epochs": {}, "centroids": None}
-    with open(p) as f:
-        return json.load(f)
-
-
-def _save_manifest(store_dir: str, m: dict) -> None:
-    os.makedirs(store_dir, exist_ok=True)
-    p = os.path.join(store_dir, _MANIFEST)
-    tmp = p + ".tmp"
-    with open(tmp, "w") as f:
-        json.dump(m, f)
-    os.replace(tmp, p)
 
 
 def _cell_files(store_dir: str, m: dict, exclude_epoch: Optional[str]
@@ -201,13 +202,10 @@ def dedup_epoch(
         _batch_matrix,
     )
 
-    m = _load_manifest(store_dir)
-    params = {"k": int(k), "tau": float(tau), "iters": int(iters),
-              "id_col": id_col, "vec_col": vec_col}
-    if m.get("params") is not None and m["params"] != params:
-        raise ValueError(
-            f"store {store_dir!r} was built with {m['params']!r}, "
-            f"got {params!r}")
+    m = STATE.load(store_dir)
+    pin_params(m, store_dir, {"k": int(k), "tau": float(tau),
+                              "iters": int(iters), "id_col": id_col,
+                              "vec_col": vec_col})
     if epoch in m.get("compacted_epochs", []):
         # folded into a base epoch: still recorded, survivors no longer
         # a distinct file set — the re-run's filter would drop them all
@@ -216,17 +214,8 @@ def dedup_epoch(
             {id_col: pa.array([], pa.int64()),
              vec_col: pa.array([], pa.list_(pa.float64()))}))
     if epoch in m["epochs"]:
-        ent = m["epochs"][epoch]
-        files = [os.path.join(store_dir, f"epoch={epoch}",
-                              f"cell={c}", f)
-                 for c, cent in sorted(ent["cells"].items())
-                 for f in cent["files"]]
-        return (ray.data.read_parquet(files,
-                                      columns=[id_col, vec_col])
-                if files
-                else ray.data.from_arrow(pa.table(
-                    {id_col: pa.array([], pa.int64()),
-                     vec_col: pa.array([], pa.list_(pa.float64()))})))
+        return _read_survivors(store_dir, epoch, m["epochs"][epoch]["cells"],
+                               id_col, vec_col)
 
     proj = ds.select_columns([id_col, vec_col]).materialize()
     if m.get("centroids") is None:
@@ -281,17 +270,15 @@ def dedup_epoch(
                 continue
             keep_ids = ids_c[~drop]
             keep_mat = mat_c[~drop]
-            cdir = os.path.join(ed, f"cell={int(c)}")
-            os.makedirs(cdir, exist_ok=True)
             name = f"em-{uuid.uuid4().hex}.parquet"
             vec_arr = pa.FixedSizeListArray.from_arrays(
                 pa.array(np.ascontiguousarray(keep_mat).ravel(),
                          pa.float64()),
                 keep_mat.shape[1]).cast(pa.list_(pa.float64()))
-            pq.write_table(
+            write_parquet_atomic(
                 pa.table({id_col: pa.array(keep_ids, pa.int64()),
                           vec_col: vec_arr}),
-                os.path.join(cdir, name))
+                os.path.join(ed, f"cell={int(c)}"), name)
             cells_out.append(int(c))
             files_out.append(name)
             rows_out.append(int(len(keep_ids)))
@@ -312,33 +299,32 @@ def dedup_epoch(
         for cent in cells_ent.values():
             cent["files"].sort()
 
-    m = _load_manifest(store_dir)  # re-read: driver is the only writer
-    if m.get("params") is None:
-        m["params"] = params
+    if m["centroids"] is None:
         m["centroids"] = [[float(x) for x in c] for c in cents]
     m["epochs"][epoch] = {"cells": cells_ent, "rows": total}
-    _save_manifest(store_dir, m)  # the commit point
-    from calendar_event_entity_extraction_ray.stages.storegc import (
-        orphan_files,
-        remove_files_and_prune_dirs,
-    )
+    STATE.save(store_dir, m)  # the commit point
+    prune_orphans(store_dir, f"epoch={epoch}", _listed_rels(epoch, cells_ent))
+    return _read_survivors(store_dir, epoch, cells_ent, id_col, vec_col)
 
-    listed = {os.path.join(f"epoch={epoch}", f"cell={c}", f)
-              for c, cent in cells_ent.items() for f in cent["files"]}
-    remove_files_and_prune_dirs(
-        store_dir, orphan_files(store_dir, [f"epoch={epoch}"], listed))
 
-    files = [os.path.join(store_dir, f"epoch={epoch}", f"cell={c}", f)
-             for c, cent in cells_ent.items() for f in cent["files"]]
-    return (ray.data.read_parquet(files, columns=[id_col, vec_col])
-            if files
-            else ray.data.from_arrow(pa.table(
-                {id_col: pa.array([], pa.int64()),
-                 vec_col: pa.array([], pa.list_(pa.float64()))})))
+def _listed_rels(epoch: str, cells: dict) -> List[str]:
+    return [os.path.join(f"epoch={epoch}", f"cell={c}", f)
+            for c, cent in sorted(cells.items()) for f in cent["files"]]
+
+
+def _read_survivors(store_dir: str, epoch: str, cells: dict, id_col: str,
+                    vec_col: str) -> "ray.data.Dataset":
+    files = [os.path.join(store_dir, rel)
+             for rel in _listed_rels(epoch, cells)]
+    if files:
+        return ray.data.read_parquet(files, columns=[id_col, vec_col])
+    return ray.data.from_arrow(pa.table(
+        {id_col: pa.array([], pa.int64()),
+         vec_col: pa.array([], pa.list_(pa.float64()))}))
 
 
 def store_rows(store_dir: str) -> int:
-    m = _load_manifest(store_dir)
+    m = STATE.load(store_dir)
     return sum(int(e["rows"]) for e in m["epochs"].values())
 
 
@@ -353,28 +339,21 @@ def compact_store(store_dir: str) -> dict:
     one returns an EMPTY survivor set without touching the store (its
     vectors are already members of the folded base — the fpstore
     append_epoch rule)."""
-    import shutil
-
-    m = _load_manifest(store_dir)
+    m = STATE.load(store_dir)
     if not m["epochs"]:
         return m
-    params = m["params"]
-    id_col, vec_col = params["id_col"], params["vec_col"]
+    id_col, vec_col = m["params"]["id_col"], m["params"]["vec_col"]
     cell_files = _cell_files(store_dir, m, None)
-    gen = int(m.get("compaction_gen", 0)) + 1
-    base = f"base{gen:04d}"
-    old_dirs = [os.path.join(store_dir, f"epoch={e}")
-                for e in m["epochs"]]
+    base = base_epoch(m)
 
     @ray.remote(num_cpus=1)
     def fold(c: int, files: List[str]) -> tuple:
         t = pa.concat_tables(pq.read_table(f, columns=[id_col, vec_col])
                              for f in files)
         t = t.sort_by(id_col)
-        cdir = os.path.join(store_dir, f"epoch={base}", f"cell={c}")
-        os.makedirs(cdir, exist_ok=True)
         name = f"em-{uuid.uuid4().hex}.parquet"
-        pq.write_table(t, os.path.join(cdir, name))
+        write_parquet_atomic(
+            t, os.path.join(store_dir, f"epoch={base}", f"cell={c}"), name)
         return c, name, t.num_rows
 
     refs = [fold.remote(c, fs) for c, fs in sorted(cell_files.items())]
@@ -383,13 +362,6 @@ def compact_store(store_dir: str) -> dict:
     for c, name, rows in ray.get(refs):
         new_cells[str(c)] = {"files": [name], "rows": rows}
         total += rows
-    done = sorted(set(m.get("compacted_epochs", []))
-                  | set(m["epochs"]) - {base})
-    m2 = {"params": params, "centroids": m["centroids"],
-          "compaction_gen": gen, "compacted_epochs": done,
-          "epochs": {base: {"cells": new_cells, "rows": total}}}
-    _save_manifest(store_dir, m2)  # THE commit
-    for d in old_dirs:  # post-commit: no manifest references these
-        if os.path.basename(d) != f"epoch={base}":
-            shutil.rmtree(d, ignore_errors=True)
-    return m2
+    return commit_compaction(STATE, store_dir, m,
+                             {"cells": new_cells, "rows": total},
+                             _listed_rels(base, new_cells))

@@ -28,6 +28,22 @@ a crash between them leaves unreferenced files that readers ignore).
 Epoch cost is O(delta x neighborhood + touched partitions); the stored
 vocabulary never reshuffles.
 
+    store_dir/_ENTMANIFEST.json   {"format_version", "params": {"max_d"},
+                                   "num_partitions", "epoch_order",
+                                   "epochs": {e: {"parts": {k: {files,
+                                                                rows}},
+                                                  "rows", "alias_rows",
+                                                  "n_surfaces",
+                                                  "n_members", "n_new"}},
+                                   after compaction: "compaction_gen",
+                                   "compacted_epochs"}
+    store_dir/epoch=<e>/part=<k>/alias-<uuid>.parquet   (self rows)
+    store_dir/epoch=<e>/part=<k>/var-<uuid>.parquet     (variant rows)
+
+The first epoch pins ``params`` and records P; a later one with other
+params, or a dir without ``format_version``, is rejected
+(state/manifest.py).
+
 Completeness relies on SymSpell deletion blocking: lev(a, b) <= d
 implies a and b share a depth-d deletion variant
 (functions/editdist.py:deletion_variants), so every qualifying
@@ -38,7 +54,6 @@ exact Myers verify then keeps or kills — never lose one.
 
 from __future__ import annotations
 
-import json
 import logging
 import os
 import uuid
@@ -52,7 +67,20 @@ import pyarrow.parquet as pq
 import ray
 import ray.data
 
+from calendar_event_entity_extraction_ray.stages.storegc import (
+    base_epoch,
+    commit_compaction,
+    prune_orphans,
+)
+from calendar_event_entity_extraction_ray.state.manifest import (
+    StateFile,
+    pin_params,
+    write_parquet_atomic,
+)
+
 _MANIFEST = "_ENTMANIFEST.json"
+STATE = StateFile(_MANIFEST, {"params": None, "num_partitions": None,
+                              "epochs": {}})
 _LOG = logging.getLogger(__name__)
 
 
@@ -61,23 +89,6 @@ def _hash64(strs) -> np.ndarray:
                   dtype=object)
     return pd.util.hash_pandas_object(s, index=False).to_numpy() \
         .view(np.int64)
-
-
-def _load_manifest(store_dir: str) -> dict:
-    p = os.path.join(store_dir, _MANIFEST)
-    if not os.path.exists(p):
-        return {"epochs": {}, "num_partitions": None, "max_d": None}
-    with open(p) as f:
-        return json.load(f)
-
-
-def _save_manifest(store_dir: str, m: dict) -> None:
-    os.makedirs(store_dir, exist_ok=True)
-    p = os.path.join(store_dir, _MANIFEST)
-    tmp = p + ".tmp"
-    with open(tmp, "w") as f:
-        json.dump(m, f, indent=1, sort_keys=True)
-    os.replace(tmp, p)
 
 
 def _epoch_order(m: dict) -> List[str]:
@@ -109,7 +120,7 @@ def _part_files(store_dir: str, m: dict,
 
 
 def registry_rows(store_dir: str) -> int:
-    m = _load_manifest(store_dir)
+    m = STATE.load(store_dir)
     return sum(int(ent["rows"]) for ent in m["epochs"].values())
 
 
@@ -195,7 +206,7 @@ def lookup_surfaces(
         hash_partition_map,
     )
 
-    m = _load_manifest(store_dir)
+    m = STATE.load(store_dir)
     surfaces = _distinct_surfaces(ds, col, num_partitions)
     p_total = int(m["num_partitions"] or 0)
     if not m["epochs"] or p_total == 0:
@@ -293,7 +304,8 @@ def register_epoch(
         hash_join,
     )
 
-    m = _load_manifest(store_dir)
+    m = STATE.load(store_dir)
+    pin_params(m, store_dir, {"max_d": max_d}, num_partitions)
     if epoch in m["epochs"]:
         return {"epoch": epoch, "noop": True,
                 **{k: m["epochs"][epoch].get(k) for k in
@@ -302,10 +314,7 @@ def register_epoch(
         # folded into the compacted base: still recorded, still a no-op
         # (all of its surfaces are members of the base now)
         return {"epoch": epoch, "noop": True, "rows": 0}
-    if m["max_d"] is not None and int(m["max_d"]) != max_d:
-        raise ValueError(
-            f"store built with max_d={m['max_d']}, got {max_d}")
-    p_total = int(m["num_partitions"] or num_partitions)
+    p_total = int(m["num_partitions"])
     parts = _part_files(store_dir, m)
 
     surfaces = _distinct_surfaces(ds, col, None).materialize()
@@ -423,13 +432,7 @@ def register_epoch(
     if n_new == 0:
         ent = {"parts": {}, "rows": 0, **{k: stats[k] for k in
                ("n_surfaces", "n_members", "n_new")}}
-        m = _load_manifest(store_dir)
-        m["epoch_order"] = _epoch_order(m) + [epoch] if m["epochs"] \
-            else [epoch]
-        m["num_partitions"] = p_total
-        m["max_d"] = max_d
-        m["epochs"][epoch] = ent
-        _save_manifest(store_dir, m)
+        _commit_epoch(store_dir, m, epoch, ent)
         stats["rows"] = 0
         return stats
 
@@ -573,35 +576,16 @@ def register_epoch(
     ed = os.path.join(store_dir, f"epoch={epoch}")
 
     def write_fold(t: pa.Table) -> pa.Table:
-        # two files per partition: "alias-" (self rows only — what the
-        # lookup serving path reads) and "var-" (the deletion-variant
-        # rows, ~|surface| x larger — read only by epoch-ingest
-        # candidate matching). Splitting cuts lookup IO by the variant
-        # fan-out (~13x at typical surface lengths).
-        import pyarrow.compute as pc
-
-        if t.num_rows == 0:
-            return pa.table({"part": pa.array([], pa.int64()),
-                             "file": pa.array([], pa.string()),
-                             "rows": pa.array([], pa.int64())})
-        k = int(t.column("vh")[0].as_py()) % p_total
-        pdir = os.path.join(ed, f"part={k}")
-        os.makedirs(pdir, exist_ok=True)
-        cols = t.select(["vh", "surface", "canonical", "self"])
-        parts_out, files_out, rows_out = [], [], []
-        for prefix, sub in (
-                ("alias", cols.filter(pc.equal(cols.column("self"), True))),
-                ("var", cols.filter(pc.equal(cols.column("self"), False)))):
-            if sub.num_rows == 0:
-                continue
-            name = f"{prefix}-{uuid.uuid4().hex}.parquet"
-            pq.write_table(sub, os.path.join(pdir, name))
-            parts_out.append(k)
-            files_out.append(name)
-            rows_out.append(sub.num_rows)
-        return pa.table({"part": pa.array(parts_out, pa.int64()),
-                         "file": pa.array(files_out, pa.string()),
-                         "rows": pa.array(rows_out, pa.int64())})
+        written, k = [], 0
+        if t.num_rows:
+            k = int(t.column("vh")[0].as_py()) % p_total
+            written = _write_split(
+                os.path.join(ed, f"part={k}"),
+                t.select(["vh", "surface", "canonical", "self"]))
+        return pa.table({
+            "part": pa.array([k] * len(written), pa.int64()),
+            "file": pa.array([n for n, _ in written], pa.string()),
+            "rows": pa.array([r for _, r in written], pa.int64())})
 
     wres = hash_partition_map(alias_rows, "vh", write_fold,
                               num_partitions=p_total).to_pandas()
@@ -622,15 +606,42 @@ def register_epoch(
     ent = {"parts": parts_ent, "rows": total_rows,
            "alias_rows": alias_rows_total,
            **{k: stats[k] for k in ("n_surfaces", "n_members", "n_new")}}
-    m = _load_manifest(store_dir)  # re-read: driver is the only writer
-    m["epoch_order"] = _epoch_order(m) + [epoch] if m["epochs"] \
-        else [epoch]
-    m["num_partitions"] = p_total
-    m["max_d"] = max_d
-    m["epochs"][epoch] = ent
-    _save_manifest(store_dir, m)
+    _commit_epoch(store_dir, m, epoch, ent)
     stats["rows"] = total_rows
     return stats
+
+
+def _write_split(pdir: str, t: pa.Table) -> List[Tuple[str, int]]:
+    """Write a partition's rows as two files: "alias-" (self rows only —
+    what the lookup serving path reads) and "var-" (the deletion-variant
+    rows, ~|surface| x larger — read only by epoch-ingest candidate
+    matching). The split cuts lookup IO by the variant fan-out (~13x at
+    typical surface lengths). Returns (name, rows) per file written."""
+    import pyarrow.compute as pc
+
+    out = []
+    for prefix, flag in (("alias", True), ("var", False)):
+        sub = t.filter(pc.equal(t.column("self"), flag))
+        if sub.num_rows:
+            name = f"{prefix}-{uuid.uuid4().hex}.parquet"
+            write_parquet_atomic(sub, pdir, name)
+            out.append((name, sub.num_rows))
+    return out
+
+
+def _listed_rels(epoch: str, ent: dict) -> set:
+    return {os.path.join(f"epoch={epoch}", f"part={k}", f)
+            for k, pent in ent["parts"].items() for f in pent["files"]}
+
+
+def _commit_epoch(store_dir: str, m: dict, epoch: str, ent: dict) -> None:
+    """Record ``epoch`` (the commit point), then delete the files a
+    crashed earlier attempt left in its dir."""
+    m["epoch_order"] = _epoch_order(m) + [epoch] if m["epochs"] \
+        else [epoch]
+    m["epochs"][epoch] = ent
+    STATE.save(store_dir, m)
+    prune_orphans(store_dir, f"epoch={epoch}", _listed_rels(epoch, ent))
 
 
 def compact_registry(store_dir: str) -> dict:
@@ -645,38 +656,19 @@ def compact_registry(store_dir: str) -> dict:
     unreferenced new-base files ignored). Compacted epoch names are
     retained: ``register_epoch`` stays a no-op for them, and ``as_of``
     views behind the fold error by design."""
-    import shutil
-
-    m = _load_manifest(store_dir)
+    m = STATE.load(store_dir)
     if not m["epochs"]:
         return m
-    p_total = int(m["num_partitions"])
     parts = _part_files(store_dir, m)
-    gen = int(m.get("compaction_gen", 0)) + 1
-    base = f"base{gen:04d}"
-    old_dirs = [os.path.join(store_dir, f"epoch={e}")
-                for e in m["epochs"]]
+    base = base_epoch(m)
 
     @ray.remote(num_cpus=1)
     def fold(k: int, files: List[str]) -> Tuple[int, list, int, int]:
-        # preserve the alias/var file split (lookup reads only alias-)
         t = pa.concat_tables(pq.read_table(f) for f in files)
-        pdir = os.path.join(store_dir, f"epoch={base}", f"part={k}")
-        os.makedirs(pdir, exist_ok=True)
-        import pyarrow.compute as pc
-
-        names = []
-        n_alias = 0
-        for prefix, flag in (("alias", True), ("var", False)):
-            sub = t.filter(pc.equal(t.column("self"), flag))
-            if sub.num_rows == 0:
-                continue
-            name = f"{prefix}-{uuid.uuid4().hex}.parquet"
-            pq.write_table(sub, os.path.join(pdir, name))
-            names.append(name)
-            if flag:
-                n_alias = sub.num_rows
-        return k, names, t.num_rows, n_alias
+        written = _write_split(
+            os.path.join(store_dir, f"epoch={base}", f"part={k}"), t)
+        n_alias = sum(r for n, r in written if n.startswith("alias-"))
+        return k, [n for n, _ in written], t.num_rows, n_alias
 
     refs = [fold.remote(k, files) for k, files in sorted(parts.items())]
     new_parts: dict = {}
@@ -686,17 +678,6 @@ def compact_registry(store_dir: str) -> dict:
         new_parts[str(k)] = {"files": sorted(names), "rows": rows}
         total += rows
         alias_total += n_alias
-    done = sorted(set(m.get("compacted_epochs", []))
-                  | set(m["epochs"]) - {base})
-    m2 = {"num_partitions": p_total,
-          "max_d": m["max_d"],
-          "compaction_gen": gen,
-          "compacted_epochs": done,
-          "epoch_order": [base],
-          "epochs": {base: {"parts": new_parts, "rows": total,
-                            "alias_rows": alias_total}}}
-    _save_manifest(store_dir, m2)  # THE commit
-    for d in old_dirs:  # post-commit: no manifest references these
-        if os.path.basename(d) != f"epoch={base}":
-            shutil.rmtree(d, ignore_errors=True)
-    return m2
+    entry = {"parts": new_parts, "rows": total, "alias_rows": alias_total}
+    return commit_compaction(STATE, store_dir, m, entry,
+                             _listed_rels(base, entry), epoch_order=[base])

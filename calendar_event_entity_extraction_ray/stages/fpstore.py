@@ -13,10 +13,17 @@ through the same ``h1 % P`` exchange the filter uses, one directory per
 partition —
 
     store_dir/epoch=<e>/part=<k>/fp-<uuid>.parquet   (h1, h2 int64)
-    store_dir/_FPMANIFEST.json   {"num_partitions": P,
+    store_dir/epoch=<e>/part=<k>/fp-<uuid>.bloom     (h1 Bloom sidecar)
+    store_dir/_FPMANIFEST.json   {"format_version", "num_partitions": P,
                                   "epochs": {e: {"rows": N,
                                                  "parts": {k: {files,
-                                                               rows}}}}}
+                                                               blooms,
+                                                               rows}}}},
+                                  after compaction: "compaction_gen",
+                                  "compacted_epochs"}
+
+No params are pinned (the first epoch records P); a dir without
+``format_version`` is rejected (state/manifest.py).
 
 Writes are attempt-commit (the exchange-spill pattern): tasks RETURN the
 file names they wrote, the driver records them; readers open only listed
@@ -41,7 +48,6 @@ Membership test regimes (decontamination's two-regime pattern):
 
 from __future__ import annotations
 
-import json
 import os
 import uuid
 from typing import List, Optional, Tuple
@@ -54,7 +60,19 @@ import pyarrow.parquet as pq
 import ray
 import ray.data
 
+from calendar_event_entity_extraction_ray.stages.storegc import (
+    base_epoch,
+    commit_compaction,
+    prune_orphans,
+)
+from calendar_event_entity_extraction_ray.state.manifest import (
+    StateFile,
+    write_json,
+    write_parquet_atomic,
+)
+
 _MANIFEST = "_FPMANIFEST.json"
+STATE = StateFile(_MANIFEST, {"num_partitions": None, "epochs": {}})
 _KEY2 = "fpstore-h2-salt0"  # exactly 16 bytes: independent siphash key
 
 # Per-file Bloom sidecars (round-4 verdict item 4): every fingerprint
@@ -84,6 +102,20 @@ def _build_bloom(h1: np.ndarray) -> bytes:
                  (len(h1) * BLOOM_BITS_PER_ROW + 63) // 64 * 64)
     return BloomFilter(n_bits=n_bits, k=BLOOM_K).add_hashes(
         h1.astype(np.uint64)).serialize()
+
+
+def _write_fp_file(pdir: str, h1: np.ndarray,
+                   h2: np.ndarray) -> Tuple[str, str]:
+    """One (h1, h2) fingerprint file and its Bloom sidecar under
+    ``pdir``; returns both names."""
+    name = f"fp-{uuid.uuid4().hex}.parquet"
+    write_parquet_atomic(pa.table({"h1": pa.array(h1, pa.int64()),
+                                   "h2": pa.array(h2, pa.int64())}),
+                         pdir, name)
+    bname = name[:-len(".parquet")] + ".bloom"
+    with open(os.path.join(pdir, bname), "wb") as f:
+        f.write(_build_bloom(h1))
+    return name, bname
 
 
 def _bloom_any_hit(bloom_path: str, h1: np.ndarray) -> bool:
@@ -127,63 +159,18 @@ def member_mask(h1: np.ndarray, h2: np.ndarray, sh1: np.ndarray,
     return out
 
 
-def _load_manifest(store_dir: str) -> dict:
-    p = os.path.join(store_dir, _MANIFEST)
-    if not os.path.exists(p):
-        return {"epochs": {}, "num_partitions": None}
-    with open(p) as f:
-        return json.load(f)
-
-
-def _save_manifest(store_dir: str, m: dict) -> None:
-    os.makedirs(store_dir, exist_ok=True)
-    p = os.path.join(store_dir, _MANIFEST)
-    tmp = p + ".tmp"
-    with open(tmp, "w") as f:
-        json.dump(m, f, indent=1, sort_keys=True)
-    os.replace(tmp, p)
-
-
 def store_epochs(store_dir: str) -> List[str]:
-    return sorted(_load_manifest(store_dir)["epochs"])
+    return sorted(STATE.load(store_dir)["epochs"])
 
 
-def _listed_files(store_dir: str, exclude_epoch: Optional[str]) -> List[str]:
-    m = _load_manifest(store_dir)
-    out: List[str] = []
-    for e, ent in sorted(m["epochs"].items()):
-        if e == exclude_epoch:
-            continue
-        for k, pent in sorted(ent["parts"].items()):
-            out.extend(
-                os.path.join(store_dir, f"epoch={e}", f"part={k}", f)
-                for f in pent["files"])
-    return out
-
-
-def _part_files(store_dir: str, exclude_epoch: Optional[str]
-                ) -> dict[int, List[str]]:
-    """{partition id: listed store files} across prior epochs — the
-    (small, P-keyed) routing table the storage-partitioned folds use."""
-    m = _load_manifest(store_dir)
-    out: dict[int, List[str]] = {}
-    for e, ent in sorted(m["epochs"].items()):
-        if e == exclude_epoch:
-            continue
-        for k, pent in sorted(ent["parts"].items()):
-            out.setdefault(int(k), []).extend(
-                os.path.join(store_dir, f"epoch={e}", f"part={k}", f)
-                for f in pent["files"])
-    return out
-
-
-def _part_files_with_blooms(
+def _part_files(
     store_dir: str, exclude_epoch: Optional[str]
 ) -> "dict[int, List[Tuple[str, Optional[str]]]]":
-    """Like ``_part_files`` but each entry is (fingerprint file, bloom
-    sidecar path or None) — None for files written before the sidecar
-    existed (always read, never skipped)."""
-    m = _load_manifest(store_dir)
+    """{partition id: [(listed store file, its Bloom sidecar path or
+    None)]} across prior epochs — the (small, P-keyed) routing table the
+    storage-partitioned folds use. None marks a file written before the
+    sidecar existed (always read, never skipped)."""
+    m = STATE.load(store_dir)
     out: dict[int, List[Tuple[str, Optional[str]]]] = {}
     for e, ent in sorted(m["epochs"].items()):
         if e == exclude_epoch:
@@ -199,14 +186,15 @@ def _part_files_with_blooms(
 
 
 def store_rows(store_dir: str, exclude_epoch: Optional[str] = None) -> int:
-    m = _load_manifest(store_dir)
+    m = STATE.load(store_dir)
     return sum(int(ent["rows"]) for e, ent in m["epochs"].items()
                if e != exclude_epoch)
 
 
 def _load_store_arrays(store_dir: str, exclude_epoch: Optional[str]
                        ) -> Tuple[np.ndarray, np.ndarray]:
-    files = _listed_files(store_dir, exclude_epoch)
+    files = [f for fs in _part_files(store_dir, exclude_epoch).values()
+             for f, _ in fs]
     if not files:
         z = np.zeros(0, dtype=np.int64)
         return z, z.copy()
@@ -279,9 +267,9 @@ def filter_against_store(
         hash_partition_map,
     )
 
-    m = _load_manifest(store_dir)
+    m = STATE.load(store_dir)
     p_total = int(m["num_partitions"])
-    parts = _part_files_with_blooms(store_dir, exclude_epoch)
+    parts = _part_files(store_dir, exclude_epoch)
     if io_log_dir:
         os.makedirs(io_log_dir, exist_ok=True)
 
@@ -311,10 +299,7 @@ def filter_against_store(
                                      for f in read_files),
                    "bytes_skipped": sum(os.path.getsize(f)
                                         for f in skipped)}
-            with open(os.path.join(io_log_dir,
-                                   f"io-{uuid.uuid4().hex}.json"),
-                      "w") as f:
-                json.dump(rec, f)
+            write_json(io_log_dir, f"io-{uuid.uuid4().hex}.json", rec)
         if not read_files:
             return t.slice(0, 0) if keep_members else t
         st = pa.concat_tables(pq.read_table(f, columns=["h1", "h2"])
@@ -346,7 +331,7 @@ def append_epoch(
         hash_partition_map,
     )
 
-    m = _load_manifest(store_dir)
+    m = STATE.load(store_dir)
     if epoch in m["epochs"]:
         return m["epochs"][epoch]
     if epoch in m.get("compacted_epochs", []):
@@ -363,16 +348,10 @@ def append_epoch(
                              "bloom": pa.array([], pa.string()),
                              "rows": pa.array([], pa.int64())})
         k = int(t.column("_h1")[0].as_py()) % p_total
-        pdir = os.path.join(ed, f"part={k}")
-        os.makedirs(pdir, exist_ok=True)
-        name = f"fp-{uuid.uuid4().hex}.parquet"
-        pq.write_table(
-            pa.table({"h1": t.column("_h1"), "h2": t.column("_h2")}),
-            os.path.join(pdir, name))
-        bname = name[:-len(".parquet")] + ".bloom"
-        with open(os.path.join(pdir, bname), "wb") as f:
-            f.write(_build_bloom(
-                t.column("_h1").to_numpy(zero_copy_only=False)))
+        name, bname = _write_fp_file(
+            os.path.join(ed, f"part={k}"),
+            t.column("_h1").to_numpy(zero_copy_only=False),
+            t.column("_h2").to_numpy(zero_copy_only=False))
         return pa.table({"part": pa.array([k], pa.int64()),
                          "file": pa.array([name], pa.string()),
                          "bloom": pa.array([bname], pa.string()),
@@ -395,11 +374,18 @@ def append_epoch(
         for pent in parts.values():
             pent["files"].sort()
         ent = {"parts": parts, "rows": int(res["rows"].sum())}
-    m = _load_manifest(store_dir)  # re-read: driver is the only writer
     m["num_partitions"] = p_total
     m["epochs"][epoch] = ent
-    _save_manifest(store_dir, m)
+    STATE.save(store_dir, m)  # the commit point
+    prune_orphans(store_dir, f"epoch={epoch}", _listed_rels(epoch, ent))
     return ent
+
+
+def _listed_rels(epoch: str, ent: dict) -> set:
+    """The fingerprint files and Bloom sidecars one epoch entry lists."""
+    return {os.path.join(f"epoch={epoch}", f"part={k}", f)
+            for k, pent in ent["parts"].items()
+            for f in pent["files"] + list(pent.get("blooms", {}).values())}
 
 
 def dedup_incremental(
@@ -448,31 +434,20 @@ def compact_store(store_dir: str) -> dict:
     epoch's ingest cannot double-write — its filter now (correctly)
     reports nothing new. Compacting twice folds the base again:
     idempotent in content, one file per partition either way."""
-    m = _load_manifest(store_dir)
+    m = STATE.load(store_dir)
     if not m["epochs"]:
         return m
-    p_total = int(m["num_partitions"])
     parts = _part_files(store_dir, None)
-    gen = int(m.get("compaction_gen", 0)) + 1
-    base = f"base{gen:04d}"
-    old_dirs = [os.path.join(store_dir, f"epoch={e}")
-                for e in m["epochs"]]
+    base = base_epoch(m)
 
     @ray.remote(num_cpus=1)
-    def fold(k: int, files: List[str]) -> tuple:
+    def fold(k: int, files: List[Tuple[str, Optional[str]]]) -> tuple:
         t = pa.concat_tables(pq.read_table(f, columns=["h1", "h2"])
-                             for f in files)
+                             for f, _ in files)
         df = t.to_pandas().drop_duplicates()
-        pdir = os.path.join(store_dir, f"epoch={base}", f"part={k}")
-        os.makedirs(pdir, exist_ok=True)
-        name = f"fp-{uuid.uuid4().hex}.parquet"
-        pq.write_table(
-            pa.table({"h1": pa.array(df["h1"].to_numpy(), pa.int64()),
-                      "h2": pa.array(df["h2"].to_numpy(), pa.int64())}),
-            os.path.join(pdir, name))
-        bname = name[:-len(".parquet")] + ".bloom"
-        with open(os.path.join(pdir, bname), "wb") as f:
-            f.write(_build_bloom(df["h1"].to_numpy()))
+        name, bname = _write_fp_file(
+            os.path.join(store_dir, f"epoch={base}", f"part={k}"),
+            df["h1"].to_numpy(), df["h2"].to_numpy())
         return k, name, bname, len(df)
 
     refs = [fold.remote(k, files) for k, files in sorted(parts.items())]
@@ -482,19 +457,9 @@ def compact_store(store_dir: str) -> dict:
         new_parts[str(k)] = {"files": [name], "blooms": {name: bname},
                              "rows": rows}
         total += rows
-    done = sorted(set(m.get("compacted_epochs", []))
-                  | set(m["epochs"]) - {base})
-    m2 = {"num_partitions": p_total,
-          "compaction_gen": gen,
-          "compacted_epochs": done,
-          "epochs": {base: {"parts": new_parts, "rows": total}}}
-    _save_manifest(store_dir, m2)
-    import shutil
-
-    for d in old_dirs:  # post-swap: no manifest references these
-        if os.path.basename(d) != f"epoch={base}":
-            shutil.rmtree(d, ignore_errors=True)
-    return m2
+    entry = {"parts": new_parts, "rows": total}
+    return commit_compaction(STATE, store_dir, m, entry,
+                             _listed_rels(base, entry))
 
 
 def with_band_fingerprints(

@@ -12,8 +12,9 @@ re-reads old events. A store supplies its kernels; this module owns:
     state_dir/<subdir>.epoch=<e>/part=<k>/s-<uuid>.parquet
 
 - ``params`` are pinned by the first epoch; a later epoch with different
-  ones is rejected before anything is written. ``num_partitions`` only
-  names shards: the first epoch records it, later ones ignore it.
+  ones is rejected before anything is written (``manifest.pin_params``).
+  ``num_partitions`` only names shards: the first epoch records it,
+  later ones ignore it.
 - Re-running a recorded epoch is a no-op.
 - The state JSON is the commit, written last and atomically: a crash
   beforehand leaves the previous listing intact (orphans in the new dir
@@ -22,11 +23,10 @@ re-reads old events. A store supplies its kernels; this module owns:
 - Reads go through the listing, projected with ``columns=`` (hive-style
   shard paths would otherwise add partition columns).
 - A state JSON without ``format_version`` (any state dir written before
-  this module) is rejected with a clear error."""
+  this module) is rejected with a clear error (``manifest.StateFile``)."""
 
 from __future__ import annotations
 
-import json
 import os
 import uuid
 from dataclasses import dataclass
@@ -46,10 +46,13 @@ from calendar_event_entity_extraction_ray.stages.storegc import (
     remove_files_and_prune_dirs,
 )
 from calendar_event_entity_extraction_ray.state.manifest import (
+    StateFile,
+    pin_params,
     write_parquet_atomic,
 )
 
-FORMAT_VERSION = 1
+_EMPTY = {"params": None, "num_partitions": None, "epochs": [],
+          "files": []}
 
 
 @dataclass(frozen=True)
@@ -77,27 +80,7 @@ class KeyedStore:
 
 def load_state(store: KeyedStore, state_dir: str) -> dict:
     """The committed state, or an empty one before the first epoch."""
-    p = os.path.join(state_dir, store.state_file)
-    if not os.path.exists(p):
-        return {"format_version": FORMAT_VERSION, "params": None,
-                "num_partitions": None, "epochs": [], "files": []}
-    with open(p) as f:
-        state = json.load(f)
-    if state.get("format_version") != FORMAT_VERSION:
-        raise ValueError(
-            f"state dir {state_dir} uses an older format: "
-            f"{store.state_file} lacks format_version={FORMAT_VERSION}; "
-            f"rebuild the state from its events")
-    return state
-
-
-def write_state(store: KeyedStore, state_dir: str, state: dict) -> None:
-    """The commit point of every keyed store: write, then rename."""
-    p = os.path.join(state_dir, store.state_file)
-    tmp = p + ".tmp"
-    with open(tmp, "w") as f:
-        json.dump(state, f, indent=1, sort_keys=True)
-    os.replace(tmp, p)
+    return StateFile(store.state_file, _EMPTY).load(state_dir)
 
 
 def run_epoch(store: KeyedStore, state_dir: str, epoch: str,
@@ -111,15 +94,7 @@ def run_epoch(store: KeyedStore, state_dir: str, epoch: str,
     keeps the listing. Returns {noop, <store extras>, n_state_rows}."""
     os.makedirs(state_dir, exist_ok=True)
     state = load_state(store, state_dir)
-    if state["params"] is None:
-        state["params"] = dict(params)
-        state["num_partitions"] = int(num_partitions)
-    for name, got in params.items():
-        pinned = state["params"].get(name)
-        if pinned != got:
-            raise ValueError(
-                f"geometry mismatch: {state_dir} pins {name}={pinned!r}, "
-                f"got {got!r}")
+    pin_params(state, state_dir, params, num_partitions)
     noop = epoch in state["epochs"]
     prepared = None if noop else prepare(state)
     if prepared is not None:
@@ -210,7 +185,7 @@ def _commit_epoch(store: KeyedStore, state_dir: str, state: dict,
     superseded = sorted(set(state["files"]) - set(files))
     state["files"] = files
     state["epochs"].append(epoch)
-    write_state(store, state_dir, state)  # the commit point
+    StateFile(store.state_file).save(state_dir, state)  # the commit point
     remove_files_and_prune_dirs(
         state_dir, superseded + orphan_files(
             state_dir, [f"{store.subdir}.epoch={epoch}"], files))

@@ -1,11 +1,12 @@
-"""Post-commit file hygiene shared by the presharded state stores
-(stages/keyedstate.py — featstate, hllstate, histstate — and
-watermark).
+"""Post-commit file hygiene shared by the epoch stores: the keyed
+stores (stages/keyedstate.py — featstate, hllstate, histstate),
+watermark, fpstore, embstore and entityreg (each epoch and each
+compaction's new base dir).
 
 Every store follows the versioned-open-table rule: workers write
 uniquely-named files, the state JSON / manifest listing is the atomic
-commit, and superseded files are deleted strictly AFTER it. Two classes
-of garbage remain without help:
+commit (state/manifest.py ``StateFile``), and superseded files are
+deleted strictly AFTER it. Two classes of garbage remain without help:
 
 - the superseded files' now-empty ``<kind>.epoch=<e>/part=<k>``
   directories (one tree per epoch, forever);
@@ -21,7 +22,10 @@ nothing about what a reader sees.
 from __future__ import annotations
 
 import os
+import shutil
 from typing import Iterable
+
+from calendar_event_entity_extraction_ray.state.manifest import StateFile
 
 
 def remove_files_and_prune_dirs(state_dir: str,
@@ -62,3 +66,37 @@ def orphan_files(state_dir: str, subdirs: Iterable[str],
                 if rel not in keep:
                     out.append(rel)
     return out
+
+
+def prune_orphans(state_dir: str, subdir: str, listed: Iterable[str]) -> None:
+    """Delete the files under ``subdir`` that the commit does not list,
+    then their emptied directories."""
+    remove_files_and_prune_dirs(
+        state_dir, orphan_files(state_dir, [subdir], listed))
+
+
+def base_epoch(m: dict) -> str:
+    """The epoch name a store's next compaction folds into."""
+    return f"base{int(m.get('compaction_gen', 0)) + 1:04d}"
+
+
+def commit_compaction(state: StateFile, store_dir: str, m: dict,
+                      entry: dict, listed: Iterable[str],
+                      **extra) -> dict:
+    """The compaction commit of the LSM epoch stores (fpstore, embstore,
+    entityreg): swap the state to the one ``base_epoch(m)`` ``entry``,
+    carrying every other key (pinned params included) and keeping the
+    folded epoch names so their re-runs stay no-ops. Then delete the
+    superseded epoch dirs and the base dir's crashed-attempt orphans."""
+    base = base_epoch(m)
+    done = sorted(set(m.get("compacted_epochs", []))
+                  | set(m["epochs"]) - {base})
+    m2 = {**m, **extra, "compacted_epochs": done, "epochs": {base: entry},
+          "compaction_gen": int(m.get("compaction_gen", 0)) + 1}
+    state.save(store_dir, m2)  # the commit point
+    for e in m["epochs"]:
+        if e != base:
+            shutil.rmtree(os.path.join(store_dir, f"epoch={e}"),
+                          ignore_errors=True)
+    prune_orphans(store_dir, f"epoch={base}", listed)
+    return m2

@@ -6,8 +6,18 @@ with n_probe/n_cells = 4/64 reads ~6%).
 Layout (same worker-write / driver-record discipline as every store
 here — workers write data files, ONLY the driver writes the manifest):
 
-    out_dir/cell=K/data.parquet   (id, embedding) sorted by id
-    out_dir/_MANIFEST.json        centroids, per-cell rows + file names
+    out_dir/cell=K/<uuid>.parquet (id, embedding) sorted by id
+                                  (data.parquet once compacted)
+    out_dir/cell=K/delta-<epoch>.parquet  LSM side files (appends)
+    out_dir/_MANIFEST.json        {"format_version", "kind", "n_cells",
+                                   "id_col", "vec_col", "seed",
+                                   "centroids", ["pq"], "epochs",
+                                   "cells": {K: {"rows", "file",
+                                                 ["deltas"],
+                                                 ["compacted_epochs"]}}}
+
+No params are pinned (the build fixes the geometry); a dir without
+``format_version`` is rejected (state/manifest.py).
 
 Build: one driver-side codebook training pass on a bounded sample
 (stages/knn.py:train_ivf_codebook — seeded Lloyd, deterministic), one
@@ -23,7 +33,6 @@ tests against brute force on separated clusters.
 
 from __future__ import annotations
 
-import json
 import os
 import uuid
 from typing import List, Optional, Sequence
@@ -35,12 +44,17 @@ import pyarrow.parquet as pq
 import ray
 import ray.data
 
+from calendar_event_entity_extraction_ray.stages.storegc import (
+    remove_files_and_prune_dirs,
+)
 from calendar_event_entity_extraction_ray.state.manifest import (
+    StateFile,
     check_epoch_name,
     write_parquet_atomic,
 )
 
 MANIFEST = "_MANIFEST.json"
+STATE = StateFile(MANIFEST)
 
 
 def _encode_pq_residual(mat: np.ndarray, centroid: np.ndarray,
@@ -167,10 +181,7 @@ def build_ivf_store(
             "codebook": [[[float(x) for x in c] for c in sub]
                          for sub in pq_cb],
         }
-    tmpm = os.path.join(out_dir, MANIFEST + ".tmp")
-    with open(tmpm, "w") as f:
-        json.dump(manifest, f)
-    os.replace(tmpm, os.path.join(out_dir, MANIFEST))
+    STATE.save(out_dir, manifest)
     return manifest
 
 
@@ -276,9 +287,7 @@ def query_ivf_store(
     name for top-k as of that epoch (later deltas are not read and
     their shadowing does not apply), or ``"base"`` for the pre-append
     build; raises behind a compacted epoch (see ``_manifest_as_of``)."""
-    with open(os.path.join(out_dir, MANIFEST)) as f:
-        manifest = json.load(f)
-    manifest = _manifest_as_of(manifest, as_of)
+    manifest = _manifest_as_of(STATE.load(out_dir), as_of)
     if use_pq and manifest.get("pq"):
         return _query_pq_store(out_dir, manifest, queries, k, n_probe,
                                rerank)
@@ -600,9 +609,7 @@ def append_ivf_store(
     )
 
     check_epoch_name(epoch)
-    mpath = os.path.join(out_dir, MANIFEST)
-    with open(mpath) as f:
-        manifest = json.load(f)
+    manifest = STATE.load(out_dir)
     if epoch in manifest.get("epochs", []):
         return manifest
     id_col, vec_col = manifest["id_col"], manifest["vec_col"]
@@ -665,10 +672,7 @@ def append_ivf_store(
         entry.setdefault("deltas", []).append(
             {"epoch": epoch, "rows": int(r.rows), "file": r.file})
     manifest.setdefault("epochs", []).append(epoch)
-    tmpm = mpath + ".tmp"
-    with open(tmpm, "w") as f:
-        json.dump(manifest, f)
-    os.replace(tmpm, mpath)
+    STATE.save(out_dir, manifest)
     return manifest
 
 
@@ -677,9 +681,7 @@ def compact_ivf_store(out_dir: str) -> dict:
     task per touched cell — concat, sort by id, atomic replace), then
     record the folded epochs in the manifest. Idempotent; crash before
     the manifest write just re-folds."""
-    mpath = os.path.join(out_dir, MANIFEST)
-    with open(mpath) as f:
-        manifest = json.load(f)
+    manifest = STATE.load(out_dir)
     id_col = manifest["id_col"]
     # global last-epoch-wins shadow (see _delta_shadow): folds drop any
     # row superseded by a NEWER epoch's version of the same id — even
@@ -760,14 +762,7 @@ def compact_ivf_store(out_dir: str) -> dict:
         e["file"] = rel
         e["compacted_epochs"] = sorted(
             set(e.get("compacted_epochs", []) + folded))
-    tmpm = mpath + ".tmp"
-    with open(tmpm, "w") as f:
-        json.dump(manifest, f)
-    os.replace(tmpm, mpath)
+    STATE.save(out_dir, manifest)
     # commit landed — only now are the delta side files unreferenced
-    for rel in superseded:
-        try:
-            os.remove(os.path.join(out_dir, rel))
-        except OSError:
-            pass
+    remove_files_and_prune_dirs(out_dir, superseded)
     return manifest

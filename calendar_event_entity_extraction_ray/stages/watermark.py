@@ -40,11 +40,22 @@ hence never read, and the re-run recomputes the epoch byte-identically
 (final/late/open are a pure function of (previous state, epoch input)).
 Superseded open shards and unlisted orphans are deleted only AFTER the
 commit. Re-running a recorded epoch is a no-op.
+
+    state_dir/_WMSTATE.json   {"format_version", "params": {"kind",
+                               window geometry, "allowed_lateness_minutes",
+                               "key_col", "ts_col"}, "num_partitions",
+                               "epochs", "watermark_us", "open_files",
+                               "final_files", "late_files"}
+    state_dir/open.epoch=<e>/part=<k>/o-<uuid>.parquet
+    state_dir/final/epoch=<e>/part=<k>/f-<uuid>.parquet
+    state_dir/late/epoch=<e>/part=<k>/l-<uuid>.parquet
+
+The first epoch pins ``params``; a later one with other params, or a
+dir without ``format_version``, is rejected (state/manifest.py).
 """
 
 from __future__ import annotations
 
-import json
 import os
 import uuid
 from typing import List, Optional
@@ -59,35 +70,23 @@ import ray
 import ray.data
 
 from calendar_event_entity_extraction_ray.state.manifest import (
+    StateFile,
+    pin_params,
     write_parquet_atomic,
 )
 
 WMSTATE = "_WMSTATE.json"
+STATE = StateFile(WMSTATE, {
+    "params": None, "num_partitions": None, "epochs": [],
+    "watermark_us": None, "open_files": [], "final_files": [],
+    "late_files": []})
 DEFAULT_PARTITIONS = 16
 
 
-def _load_state(state_dir: str) -> dict:
-    p = os.path.join(state_dir, WMSTATE)
-    if os.path.exists(p):
-        with open(p) as f:
-            state = json.load(f)
-        if "open_file" in state:
-            # the round-4 layout kept ONE open-state file; the sharded
-            # layout has no migration, so fail before any KeyError
-            raise ValueError(
-                f"state dir {state_dir} uses the pre-sharded watermark "
-                f"format (single 'open_file'); rebuild it from its events")
-        return state
-    return {"epochs": [], "watermark_us": None, "num_partitions": None,
-            "open_files": [], "final_files": [], "late_files": []}
-
-
-def _write_state(state_dir: str, state: dict) -> None:
-    p = os.path.join(state_dir, WMSTATE)
-    tmp = p + ".tmp"
-    with open(tmp, "w") as f:
-        json.dump(state, f)
-    os.replace(tmp, p)
+def window_kind(state: dict) -> Optional[str]:
+    """The pinned window kind ("tumbling", "sliding" or "session"), or
+    None before the first epoch."""
+    return (state["params"] or {}).get("kind")
 
 
 def _empty_counts(key_col: str) -> pa.Table:
@@ -221,7 +220,7 @@ def _commit_epoch(state_dir: str, state: dict, epoch: str,
     n_finalized = int(sum(r["n_final"] for r in results))
     state["epochs"].append(epoch)
     state["watermark_us"] = new_wm
-    _write_state(state_dir, state)  # the commit point
+    STATE.save(state_dir, state)  # the commit point
     _prune_after_commit(state_dir, epoch,
                         cand_rels=cands["cand"].tolist()
                         if len(cands) else [],
@@ -280,22 +279,15 @@ def tumbling_window_epoch(
             f"={window_minutes}")
     kind = "tumbling" if slide == window_minutes else "sliding"
     os.makedirs(state_dir, exist_ok=True)
-    state = _load_state(state_dir)
-    if state.setdefault("kind", kind) != kind:
-        raise ValueError(
-            f"state dir {state_dir!r} holds {state['kind']!r} windows")
-    params = {"window_minutes": window_minutes, "slide_minutes": slide,
-              "allowed_lateness_minutes": allowed_lateness_minutes,
-              "key_col": key_col, "ts_col": ts_col}
-    if state.setdefault("params", params) != params:
-        raise ValueError(
-            f"state dir {state_dir!r} was built with "
-            f"{state['params']!r}, got {params!r}")
+    state = STATE.load(state_dir)
+    pin_params(state, state_dir, {
+        "kind": kind, "window_minutes": window_minutes,
+        "slide_minutes": slide,
+        "allowed_lateness_minutes": allowed_lateness_minutes,
+        "key_col": key_col, "ts_col": ts_col}, num_partitions)
     if epoch in state["epochs"]:
         return {"watermark_us": state["watermark_us"], "n_late": 0,
                 "n_finalized": 0, "noop": True}
-    if state["num_partitions"] is None:
-        state["num_partitions"] = int(num_partitions)
     P = int(state["num_partitions"])
 
     win_us = window_minutes * 60_000_000
@@ -491,22 +483,14 @@ def session_window_epoch(
     )
 
     os.makedirs(state_dir, exist_ok=True)
-    state = _load_state(state_dir)
-    if state.setdefault("kind", "session") != "session":
-        raise ValueError(
-            f"state dir {state_dir!r} holds {state['kind']!r} windows")
-    params = {"gap_minutes": gap_minutes,
-              "allowed_lateness_minutes": allowed_lateness_minutes,
-              "key_col": key_col, "ts_col": ts_col}
-    if state.setdefault("params", params) != params:
-        raise ValueError(
-            f"state dir {state_dir!r} was built with "
-            f"{state['params']!r}, got {params!r}")
+    state = STATE.load(state_dir)
+    pin_params(state, state_dir, {
+        "kind": "session", "gap_minutes": gap_minutes,
+        "allowed_lateness_minutes": allowed_lateness_minutes,
+        "key_col": key_col, "ts_col": ts_col}, num_partitions)
     if epoch in state["epochs"]:
         return {"watermark_us": state["watermark_us"], "n_late": 0,
                 "n_finalized": 0, "noop": True}
-    if state["num_partitions"] is None:
-        state["num_partitions"] = int(num_partitions)
     P = int(state["num_partitions"])
 
     gap_us = gap_minutes * 60_000_000
@@ -629,7 +613,7 @@ def read_session_state(state_dir: str, key_col: str = "event_type"
     ones (status="open"), sorted (key, start_us). Reads ONLY the
     state-JSON-listed shards (orphans from crashed attempts are never
     listed)."""
-    state = _load_state(state_dir)
+    state = STATE.load(state_dir)
     final = _read_listed(state_dir, state["final_files"],
                          _empty_sessions(key_col))
     opened = _read_listed(state_dir, state["open_files"],
@@ -651,7 +635,7 @@ def read_window_state(state_dir: str, key_col: str = "event_type"
     """Current view: finalized windows (status="final") + open windows
     (status="open"), sorted (key, window_start_us). Reads ONLY the
     state-JSON-listed shards."""
-    state = _load_state(state_dir)
+    state = STATE.load(state_dir)
     final = _read_listed(state_dir, state["final_files"],
                          _empty_counts(key_col))
     opened = _read_listed(state_dir, state["open_files"],
@@ -681,7 +665,7 @@ def read_final_windows(state_dir: str) -> pa.Table:
     """The SERVING read over sealed outputs: every finalized window /
     session shard across all epochs, with its sealing epoch attached —
     what a downstream consumer joins per epoch. Listed shards only."""
-    state = _load_state(state_dir)
+    state = STATE.load(state_dir)
     parts = []
     for rel in sorted(state["final_files"]):
         t = pq.read_table(os.path.join(state_dir, rel))
@@ -690,7 +674,7 @@ def read_final_windows(state_dir: str) -> pa.Table:
                               pa.string())))
     if not parts:
         base = (_empty_sessions("event_type")
-                if state.get("kind") == "session"
+                if window_kind(state) == "session"
                 else _empty_counts("event_type"))
         return base.append_column("epoch", pa.array([], pa.string()))
     return pa.concat_tables(parts, promote_options="default")
@@ -702,7 +686,7 @@ def read_late_rows(state_dir: str, key_col: str = "event_type"
     (key, window_start_us, n) for tumbling state dirs,
     (key, ts_us, n) for session ones (the empty shape follows the
     dir's kind marker). Listed shards only."""
-    state = _load_state(state_dir)
+    state = STATE.load(state_dir)
     parts = []
     for rel in sorted(state["late_files"]):
         t = pq.read_table(os.path.join(state_dir, rel))
@@ -710,7 +694,7 @@ def read_late_rows(state_dir: str, key_col: str = "event_type"
             "epoch", pa.array([_epoch_of(rel)] * t.num_rows,
                               pa.string())))
     if not parts:
-        if state.get("kind") == "session":
+        if window_kind(state) == "session":
             e = pa.table({key_col: pa.array([], pa.string()),
                           "ts_us": pa.array([], pa.int64()),
                           "n": pa.array([], pa.int64())})

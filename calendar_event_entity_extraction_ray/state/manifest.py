@@ -6,37 +6,127 @@
 rename), and records a manifest entry (partition id, file, row count, input
 fingerprint). A re-run with the same fingerprint skips completed partitions
 and recomputes only the missing ones.
+
+It also owns every store's commit: one temp-then-rename write under
+``write_parquet_atomic`` and ``write_json``, and the stores' state-JSON
+format (``StateFile``, ``pin_params``). The graph manifest and
+METRICS.json carry no ``format_version``, so older graphs still resume.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 import os
 import tempfile
 import time
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Optional
 
 import pyarrow as pa
 import pyarrow.parquet as pq
 
 MANIFEST_NAME = "_MANIFEST.json"
+STATE_FORMAT_VERSION = 1
+
+
+def _write_atomic(out_dir: str, name: str,
+                  write: Callable[[str], None]) -> str:
+    """Write ``out_dir/name`` through a temp file in the same directory,
+    then rename it into place: a reader, or a retried attempt writing
+    the same name, never sees a partial file. The package's only
+    ``os.replace``. A failed attempt removes its uniquely-named temp
+    file, so retries do not pile them up."""
+    os.makedirs(out_dir, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=out_dir, suffix=".tmp")
+    os.close(fd)
+    final = os.path.join(out_dir, name)
+    try:
+        write(tmp)
+        os.replace(tmp, final)
+    except BaseException:
+        os.remove(tmp)
+        raise
+    return final
+
+
+def write_json(out_dir: str, name: str, obj: Dict) -> str:
+    """The one JSON write: every manifest, state file and metrics file
+    is committed here, atomically."""
+    def dump(tmp: str) -> None:
+        with open(tmp, "w") as f:
+            json.dump(obj, f, indent=1, sort_keys=True)
+
+    return _write_atomic(out_dir, name, dump)
+
+
+def read_json(out_dir: str, name: str, missing: Any = None) -> Any:
+    path = os.path.join(out_dir, name)
+    if not os.path.exists(path):
+        return missing
+    with open(path) as f:
+        return json.load(f)
+
+
+@dataclass(frozen=True)
+class StateFile:
+    """One store's state JSON, the commit point its readers trust: the
+    store writes its data files first and this file last. ``save``
+    stamps ``format_version``; ``load`` returns a copy of ``empty``
+    before the first commit (``empty=None``: the file must exist) and
+    rejects a file without the current ``format_version`` -- a dir
+    written before the format existed, which must be rebuilt."""
+
+    name: str
+    empty: Optional[Dict] = None
+
+    def load(self, state_dir: str) -> Dict:
+        state = read_json(state_dir, self.name)
+        if state is None:
+            if self.empty is None:
+                raise FileNotFoundError(
+                    f"no {self.name} under {state_dir}")
+            return {"format_version": STATE_FORMAT_VERSION,
+                    **copy.deepcopy(self.empty)}
+        if state.get("format_version") != STATE_FORMAT_VERSION:
+            raise ValueError(
+                f"state dir {state_dir} uses an older format: {self.name} "
+                f"lacks format_version={STATE_FORMAT_VERSION}; delete the "
+                f"dir and rebuild it from its inputs")
+        return state
+
+    def save(self, state_dir: str, state: Dict) -> None:
+        write_json(state_dir, self.name,
+                   {**state, "format_version": STATE_FORMAT_VERSION})
+
+
+def pin_params(state: Dict, state_dir: str, params: Dict,
+               num_partitions: Optional[int] = None) -> None:
+    """The one pinned-parameter check. The first epoch pins ``params``
+    (and records ``num_partitions``, which only names shards) in
+    ``state``; a later epoch whose value for any of them differs raises,
+    naming the param. Call it before any write and before the
+    recorded-epoch no-op."""
+    if state.get("params") is None:
+        state["params"] = dict(params)
+        if num_partitions is not None:
+            state["num_partitions"] = int(num_partitions)
+    for name, got in params.items():
+        pinned = state["params"].get(name)
+        if pinned != got:
+            raise ValueError(
+                f"geometry mismatch: {state_dir} was built with "
+                f"{name}={pinned!r}, got {got!r}; a state dir holds the "
+                f"geometry its first epoch pinned")
 
 
 def load_manifest(out_dir: str) -> Dict:
-    path = os.path.join(out_dir, MANIFEST_NAME)
-    if os.path.exists(path):
-        with open(path) as f:
-            return json.load(f)
-    return {"fingerprint": None, "partitions": {}, "lineage": []}
+    return read_json(out_dir, MANIFEST_NAME,
+                     {"fingerprint": None, "partitions": {}, "lineage": []})
 
 
 def save_manifest(out_dir: str, manifest: Dict) -> None:
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, MANIFEST_NAME)
-    fd, tmp = tempfile.mkstemp(dir=out_dir, suffix=".manifest.tmp")
-    with os.fdopen(fd, "w") as f:
-        json.dump(manifest, f, indent=1, sort_keys=True)
-    os.replace(tmp, path)
+    write_json(out_dir, MANIFEST_NAME, manifest)
 
 
 def completed_partitions(out_dir: str, fingerprint: str) -> set:
@@ -52,13 +142,9 @@ def write_parquet_atomic(table: pa.Table, out_dir: str, name: str,
     return the path: a reader, or a retried attempt writing the same
     name, never sees a partial file. The one Parquet write of every
     attempt-commit path (exchange spills, partition files, store shards)."""
-    os.makedirs(out_dir, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=out_dir, suffix=".tmp")
-    os.close(fd)
-    pq.write_table(table, tmp, compression=compression)
-    final = os.path.join(out_dir, name)
-    os.replace(tmp, final)
-    return final
+    return _write_atomic(
+        out_dir, name,
+        lambda tmp: pq.write_table(table, tmp, compression=compression))
 
 
 def write_partition_file(out_dir: str, part_id: int, table: pa.Table) -> str:

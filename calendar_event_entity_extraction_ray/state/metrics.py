@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 import time
 from typing import Any, Dict, Optional
+
+from calendar_event_entity_extraction_ray.state.manifest import write_json
 
 
 def write_metrics(
@@ -20,18 +21,12 @@ def write_metrics(
     stats_str: Optional[str] = None,
     name: str = "METRICS.json",
 ) -> str:
-    os.makedirs(out_dir, exist_ok=True)
     payload = {
         "written_at": time.time(),
         "counters": counters,
         "stats": (stats_str or "")[-20000:],
     }
-    fd, tmp = tempfile.mkstemp(dir=out_dir, suffix=".metrics.tmp")
-    with os.fdopen(fd, "w") as f:
-        json.dump(payload, f, indent=1, sort_keys=True)
-    path = os.path.join(out_dir, name)
-    os.replace(tmp, path)
-    return path
+    return write_json(out_dir, name, payload)
 
 
 def read_metrics(out_dir: str, name: str = "METRICS.json") -> Dict[str, Any]:

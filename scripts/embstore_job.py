@@ -61,7 +61,7 @@ def main() -> int:
         return 0
 
     if args.stats:
-        m = EB._load_manifest(args.store)
+        m = EB.STATE.load(args.store)
         print(json.dumps({
             "epochs": sorted(m["epochs"]),
             "rows": EB.store_rows(args.store),

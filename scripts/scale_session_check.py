@@ -101,10 +101,10 @@ def main() -> int:
         # +(B-1)*step, n=B); non-overlap per key means row validity +
         # exact row count == exact table equality.
         from calendar_event_entity_extraction_ray.stages.watermark import (
-            _load_state,
+            STATE,
         )
 
-        state = _load_state(sd)
+        state = STATE.load(sd)
         shard_paths = [os.path.join(sd, r) for r in
                        state["open_files"] + state["final_files"]]
 

@@ -19,7 +19,6 @@ Query vectors come from ``--input`` rows whose id is in ``--query-ids``
 """
 
 import argparse
-import json
 import os
 import sys
 
@@ -77,8 +76,7 @@ def main() -> int:
     elif args.command == "append":
         if not args.epoch:
             ap.error("--epoch is required with append")
-        with open(os.path.join(args.store, vs.MANIFEST)) as f:
-            noop = args.epoch in json.load(f).get("epochs", [])
+        noop = args.epoch in vs.STATE.load(args.store).get("epochs", [])
         m = vs.append_ivf_store(read_input(), args.store, args.epoch)
         print({"store": args.store, "epochs": m.get("epochs", []),
                "noop": noop})

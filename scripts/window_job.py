@@ -88,7 +88,7 @@ def main() -> int:
         print({"epoch": args.epoch, "form": args.form, **s})
 
     if args.read:
-        kind = wm._load_state(args.state).get("kind")
+        kind = wm.window_kind(wm.STATE.load(args.state))
         reader = (wm.read_session_state if kind == "session"
                   else wm.read_window_state)
         t = reader(args.state, key_col=args.key_col)

@@ -9,6 +9,7 @@ import pyarrow as pa
 import pytest
 
 from calendar_event_entity_extraction_ray.stages import embstore as EB
+from calendar_event_entity_extraction_ray.state import manifest
 
 
 def _vecs(seed, n, d=8, n_clusters=4, spread=0.02):
@@ -109,15 +110,15 @@ class TestEmbStore:
             ids2, v2 = np.arange(90, 120, dtype=np.int64), _vecs(9, 30)
             EB.dedup_epoch(_ds(ids1, v1), sd, "e1", k=4, tau=0.95)
             if crash:
-                real = EB._save_manifest
+                real = manifest.write_json
                 monkeypatch.setattr(
-                    EB, "_save_manifest",
-                    lambda d, m: (_ for _ in ()).throw(
+                    manifest, "write_json",
+                    lambda d, n, o: (_ for _ in ()).throw(
                         RuntimeError("boom")))
                 with pytest.raises(RuntimeError):
                     EB.dedup_epoch(_ds(ids2, v2), sd, "e2",
                                    k=4, tau=0.95)
-                monkeypatch.setattr(EB, "_save_manifest", real)
+                monkeypatch.setattr(manifest, "write_json", real)
             s2 = _surv(EB.dedup_epoch(_ds(ids2, v2), sd, "e2",
                                       k=4, tau=0.95))
             return s2, EB.store_rows(sd)
@@ -191,15 +192,15 @@ class TestEmbStore:
         sd = str(tmp_path / "es7")
         ids1, v1 = np.arange(30, dtype=np.int64), _vecs(13, 30)
         EB.dedup_epoch(_ds(ids1, v1), sd, "e1", k=4, tau=0.95)
-        before = EB._load_manifest(sd)
-        real = EB._save_manifest
+        before = EB.STATE.load(sd)
+        real = manifest.write_json
         monkeypatch.setattr(
-            EB, "_save_manifest",
-            lambda d, m: (_ for _ in ()).throw(RuntimeError("boom")))
+            manifest, "write_json",
+            lambda d, n, o: (_ for _ in ()).throw(RuntimeError("boom")))
         with pytest.raises(RuntimeError):
             EB.compact_store(sd)
-        monkeypatch.setattr(EB, "_save_manifest", real)
-        assert EB._load_manifest(sd) == before
+        monkeypatch.setattr(manifest, "write_json", real)
+        assert EB.STATE.load(sd) == before
         m2 = EB.compact_store(sd)  # clean re-run converges
         assert EB.store_rows(sd) == before["epochs"]["e1"]["rows"]
         assert sorted(m2["compacted_epochs"]) == ["e1"]

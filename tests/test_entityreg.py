@@ -11,6 +11,7 @@ import pyarrow as pa
 import pytest
 
 from calendar_event_entity_extraction_ray.stages import entityreg as ER
+from calendar_event_entity_extraction_ray.state import manifest
 
 
 def _ds(surfs, blocks=2):
@@ -131,16 +132,16 @@ class TestRegistry:
                           num_partitions=8)
         before = _lookup(store, ["aa", "bb", "ab"])
 
-        orig = ER._save_manifest
+        orig = manifest.write_json
 
-        def boom(store_dir, m):
+        def boom(out_dir, name, obj):
             raise RuntimeError("injected crash before manifest commit")
 
-        monkeypatch.setattr(ER, "_save_manifest", boom)
+        monkeypatch.setattr(manifest, "write_json", boom)
         with pytest.raises(RuntimeError):
             ER.register_epoch(_ds(["ab", "new one"]), store, "e2",
                               num_partitions=8)
-        monkeypatch.setattr(ER, "_save_manifest", orig)
+        monkeypatch.setattr(manifest, "write_json", orig)
 
         # crash window: store still serves the e1 view exactly
         assert _lookup(store, ["aa", "bb", "ab"]) == before
@@ -376,7 +377,7 @@ class TestBroadcastRouting:
         far below the intended threshold)."""
         ER.register_epoch(_ds(["alpha", "alphb", "beta"]), store, "e1",
                           num_partitions=8)
-        m = ER._load_manifest(store)
+        m = ER.STATE.load(store)
         ent = m["epochs"]["e1"]
         assert 0 < ent["alias_rows"] < ent["rows"]
         n_alias = ent["alias_rows"]
@@ -405,6 +406,6 @@ class TestBroadcastRouting:
         assert got["alpha"] is not None and pd.isna(got["missing"])
         # compaction preserves the alias-only count
         ER.compact_registry(store)
-        m2 = ER._load_manifest(store)
+        m2 = ER.STATE.load(store)
         ent2 = list(m2["epochs"].values())[0]
         assert ent2["alias_rows"] == n_alias

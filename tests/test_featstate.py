@@ -130,6 +130,7 @@ class TestDecayedCounterState:
 
         from calendar_event_entity_extraction_ray.stages import featstate as fs
         from calendar_event_entity_extraction_ray.stages import keyedstate as ks
+        from calendar_event_entity_extraction_ray.state import manifest
 
         e1 = _events(8, 500, 0, 3600 * 40)
         e2 = _events(9, 500, 3600 * 30, 3600 * 90)
@@ -137,18 +138,18 @@ class TestDecayedCounterState:
         for sd in (crash, ctrl):
             fs.decayed_counter_epoch(ray.data.from_pandas(e1), sd, "d1",
                                      half_life_hours=self.HL)
-        real = ks.write_state
+        real = manifest.write_json
 
-        def boom(store, state_dir, state):
-            if state_dir == crash:
+        def boom(out_dir, name, obj):
+            if out_dir == crash:
                 raise RuntimeError("injected crash before commit")
-            return real(store, state_dir, state)
+            return real(out_dir, name, obj)
 
-        monkeypatch.setattr(ks, "write_state", boom)
+        monkeypatch.setattr(manifest, "write_json", boom)
         with pytest.raises(RuntimeError, match="injected"):
             fs.decayed_counter_epoch(ray.data.from_pandas(e2), crash,
                                      "d2", half_life_hours=self.HL)
-        monkeypatch.setattr(ks, "write_state", real)
+        monkeypatch.setattr(manifest, "write_json", real)
         # crash window: the d1 view is intact (epoch not recorded)
         assert ks.load_state(fs.STORE, crash)["epochs"] == ["d1"]
         d1_view = _read_df(crash)

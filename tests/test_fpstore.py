@@ -314,7 +314,7 @@ class TestBloomSidecar:
         e1 = ray.data.from_pandas(
             _docs(range(4000), base_texts)).repartition(4)
         F.dedup_incremental(e1, sd, "e1", num_partitions=16).materialize()
-        m = F._load_manifest(sd)
+        m = F.STATE.load(sd)
         for pent in m["epochs"]["e1"]["parts"].values():
             assert set(pent["blooms"]) == set(pent["files"])
 
@@ -357,10 +357,10 @@ class TestBloomSidecar:
         e1 = ray.data.from_pandas(_docs(range(500), texts)).repartition(2)
         F.dedup_incremental(e1, sd, "e1", num_partitions=8).materialize()
         # simulate a legacy store: drop every sidecar file + manifest ref
-        m = F._load_manifest(sd)
+        m = F.STATE.load(sd)
         for pent in m["epochs"]["e1"]["parts"].values():
             pent.pop("blooms", None)
-        F._save_manifest(sd, m)
+        F.STATE.save(sd, m)
         dup = ray.data.from_pandas(_docs([900], [texts[0]]))
         fp = F.with_fingerprints(dup, "text")
         out = F.filter_against_store(fp, sd, exclude_epoch="e2",

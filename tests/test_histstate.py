@@ -11,7 +11,7 @@ import pyarrow as pa
 import pytest
 
 from calendar_event_entity_extraction_ray.stages import histstate as H
-from calendar_event_entity_extraction_ray.stages import keyedstate as ks
+from calendar_event_entity_extraction_ray.state import manifest
 
 W = 500  # bucket width in cents
 
@@ -108,14 +108,14 @@ class TestHistState:
             k2, v2 = _mk(700, 7)
             H.hist_epoch(_ds(k1, v1), sd, "e1", width_cents=W)
             if crash:
-                real = ks.write_state
+                real = manifest.write_json
                 monkeypatch.setattr(
-                    ks, "write_state",
-                    lambda st, d, s: (_ for _ in ()).throw(
+                    manifest, "write_json",
+                    lambda d, n, o: (_ for _ in ()).throw(
                         RuntimeError("boom")))
                 with pytest.raises(RuntimeError):
                     H.hist_epoch(_ds(k2, v2), sd, "e2", width_cents=W)
-                monkeypatch.setattr(ks, "write_state", real)
+                monkeypatch.setattr(manifest, "write_json", real)
             H.hist_epoch(_ds(k2, v2), sd, "e2", width_cents=W)
             return (H.read_histograms(sd).to_pandas()
                     .sort_values(["event_type", "bucket"])

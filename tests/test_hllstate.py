@@ -9,7 +9,7 @@ import pyarrow as pa
 import pytest
 
 from calendar_event_entity_extraction_ray.stages import hllstate as H
-from calendar_event_entity_extraction_ray.stages import keyedstate as ks
+from calendar_event_entity_extraction_ray.state import manifest
 
 
 def _ds(keys, vals, blocks=3):
@@ -96,16 +96,16 @@ class TestHllState:
                                  p=10, num_partitions=4)
         before = H.read_hll_registers(sd)
 
-        orig = ks.write_state
+        orig = manifest.write_json
 
-        def boom(store, state_dir, state):
+        def boom(out_dir, name, obj):
             raise RuntimeError("injected crash before state commit")
 
-        monkeypatch.setattr(ks, "write_state", boom)
+        monkeypatch.setattr(manifest, "write_json", boom)
         with pytest.raises(RuntimeError):
             H.hll_distinct_epoch(_ds(k2, v2), sd, "e2", "k", "v",
                                  p=10, num_partitions=4)
-        monkeypatch.setattr(ks, "write_state", orig)
+        monkeypatch.setattr(manifest, "write_json", orig)
         # crash window: previous state fully authoritative
         pd.testing.assert_frame_equal(before, H.read_hll_registers(sd))
         # re-run converges to the no-crash control

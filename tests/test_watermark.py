@@ -92,24 +92,25 @@ class TestWatermark:
         versioned per epoch, so the merge source is untouched and the
         re-run double-counts nothing."""
         from calendar_event_entity_extraction_ray.stages import watermark
+        from calendar_event_entity_extraction_ray.state import manifest
 
         def run(sd, crash_on_e1):
             watermark.tumbling_window_epoch(
                 _events([10, 20, 70, 200]), sd, "e0",
                 window_minutes=WIN, allowed_lateness_minutes=LATE)
             if crash_on_e1:
-                real = watermark._write_state
+                real = manifest.write_json
 
-                def boom(state_dir, state):
+                def boom(out_dir, name, obj):
                     raise RuntimeError("injected crash before commit")
 
-                monkeypatch.setattr(watermark, "_write_state", boom)
+                monkeypatch.setattr(manifest, "write_json", boom)
                 with pytest.raises(RuntimeError):
                     watermark.tumbling_window_epoch(
                         _events([30, 150, 260]), sd, "e1",
                         window_minutes=WIN,
                         allowed_lateness_minutes=LATE)
-                monkeypatch.setattr(watermark, "_write_state", real)
+                monkeypatch.setattr(manifest, "write_json", real)
             s1 = watermark.tumbling_window_epoch(
                 _events([30, 150, 260]), sd, "e1",
                 window_minutes=WIN, allowed_lateness_minutes=LATE)
@@ -281,18 +282,19 @@ class TestSessionWatermark:
     def test_crash_mid_epoch_rerun_is_exact(self, ray_session, tmp_path,
                                             monkeypatch):
         from calendar_event_entity_extraction_ray.stages import watermark
+        from calendar_event_entity_extraction_ray.state import manifest
 
         def run(sd, crash):
             self._run(sd, ([0, 10, 100, 300], None), "e0")
             if crash:
-                real = watermark._write_state
+                real = manifest.write_json
                 monkeypatch.setattr(
-                    watermark, "_write_state",
-                    lambda d, s: (_ for _ in ()).throw(
+                    manifest, "write_json",
+                    lambda d, n, o: (_ for _ in ()).throw(
                         RuntimeError("boom")))
                 with pytest.raises(RuntimeError):
                     self._run(sd, ([320, 200, 50], None), "e1")
-                monkeypatch.setattr(watermark, "_write_state", real)
+                monkeypatch.setattr(manifest, "write_json", real)
             s1 = self._run(sd, ([320, 200, 50], None), "e1")
             return s1, watermark.read_session_state(sd).to_pandas()
 
@@ -327,12 +329,12 @@ class TestSessionWatermark:
             json.dump({"epochs": ["e0"], "watermark_us": _us(0),
                        "open_file": "open-e0.parquet",
                        "final_files": [], "late_files": []}, f)
-        with pytest.raises(ValueError, match="pre-sharded") as ei:
+        with pytest.raises(ValueError, match="older format") as ei:
             watermark.tumbling_window_epoch(
                 _events([10]), sd, "e1", window_minutes=WIN,
                 allowed_lateness_minutes=LATE)
         assert sd in str(ei.value)
-        with pytest.raises(ValueError, match="pre-sharded"):
+        with pytest.raises(ValueError, match="older format"):
             watermark.read_window_state(sd)
 
 
