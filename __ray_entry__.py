@@ -197,7 +197,7 @@ def q_events_hourly(sf_dir: str) -> Any:
 
 def q_top_users(sf_dir: str) -> Any:
     """Top-20 users by event count (the reference's top-k pool pattern,
-    entity_pools.py:20), salted pre-aggregated count."""
+    entity_pools.py:20), per-batch pre-aggregated exchange count."""
     from calendar_event_entity_extraction_ray.stages.aggregate import grouped_count
 
     ds = _read(sf_dir, "events", columns=["user_id"])

@@ -129,11 +129,6 @@ def ordinal_suffix(d: int) -> str:
     return ords.get(d if d < 20 else d % 10, "th")
 
 
-def format_date_json(dt: datetime) -> str:
-    """Normalized slot form DD/MM/YYYY (reference: faker_synth.py:42-43)."""
-    return dt.strftime("%d/%m/%Y")
-
-
 def format_time_json(dt: datetime) -> str:
     """Normalized slot form H:MM AM/PM, no leading zero (faker_synth.py:46-48)."""
     return dt.strftime("%I:%M %p").lstrip("0")

@@ -1,4 +1,4 @@
-"""Record schemas and defensive coercion.
+"""Record shape and defensive coercion.
 
 Pins the reference's fixed 8-slot record shape and its null semantics:
   - canonical key list (reference: augmentation/utils.py:8)
@@ -14,61 +14,7 @@ from __future__ import annotations
 
 from typing import Any, Dict
 
-import pyarrow as pa
-
-from calendar_event_entity_extraction_ray import PREDICATES, TARGET_KEYS
-
-# ---------------------------------------------------------------------------
-# Arrow schemas (SURVEY.md §1.4)
-# ---------------------------------------------------------------------------
-
-PAGES_SCHEMA = pa.schema(
-    [
-        ("url", pa.string()),
-        ("warc_ts", pa.timestamp("us")),
-        ("html", pa.binary()),
-        ("text", pa.string()),
-        ("lang", pa.string()),
-    ]
-)
-
-EVENTS_SCHEMA = pa.schema(
-    [
-        ("event_id", pa.string()),
-        ("url", pa.string()),
-        ("event_ordinal", pa.int32()),
-        ("action", pa.string()),
-        ("date", pa.string()),
-        ("time", pa.string()),
-        ("attendees", pa.list_(pa.string())),
-        ("location", pa.string()),
-        ("duration", pa.string()),
-        ("recurrence", pa.string()),
-        ("notes", pa.string()),
-    ]
-)
-
-TRIPLES_SCHEMA = pa.schema(
-    [
-        ("subj", pa.string()),
-        ("pred", pa.string()),
-        ("obj", pa.string()),
-        ("url", pa.string()),
-    ]
-)
-
-ALIASES_SCHEMA = pa.schema(
-    [
-        ("alias", pa.string()),
-        ("canonical", pa.string()),
-        ("kind", pa.string()),
-    ]
-)
-
-LIST_SLOTS = {"attendees"}
-STRING_SLOTS = [k for k in TARGET_KEYS if k not in LIST_SLOTS]
-
-PRED_LIST = [PREDICATES[k] for k in TARGET_KEYS]
+from calendar_event_entity_extraction_ray import TARGET_KEYS
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ import hashlib
 import re
 from typing import Dict
 
-_TOKEN_RE = re.compile(r"\s+")
 # BPE-ish pre-tokenizer: word pieces, numbers, or single non-space symbols
 # (the common GPT-2-style pre-tokenization regex family, simplified).
 _BPE_RE = re.compile(r"[A-Za-z]+|[0-9]+|[^\sA-Za-z0-9]")
@@ -24,13 +23,6 @@ _STOPWORDS = {
     "fr": {"le", "la", "les", "et", "est", "un", "une", "de", "du", "des", "pour", "avec", "que"},
     "es": {"el", "la", "los", "las", "y", "es", "un", "una", "de", "del", "para", "con", "que"},
 }
-
-
-def whitespace_token_count(text: str | None) -> int:
-    t = (text or "").strip()
-    if not t:
-        return 0
-    return len(_TOKEN_RE.split(t))
 
 
 def bpe_ish_token_count(text: str | None) -> int:

@@ -247,24 +247,3 @@ def pages_table(indices, seed: int = 42) -> pa.Table:
         }
     )
 
-
-def golden_events_table(indices, seed: int = 42) -> pa.Table:
-    """Arrow table of golden canonical slots for the given page indices."""
-    rows: List[Dict[str, Any]] = []
-    for i in indices:
-        _, golden = synth_page(int(i), seed)
-        rows.extend(golden)
-    return pa.table(
-        {
-            "url": pa.array([r["url"] for r in rows], pa.string()),
-            "event_ordinal": pa.array([r["event_ordinal"] for r in rows], pa.int32()),
-            "action": pa.array([r["action"] for r in rows], pa.string()),
-            "date": pa.array([r["date"] for r in rows], pa.string()),
-            "time": pa.array([r["time"] for r in rows], pa.string()),
-            "attendees": pa.array([r["attendees"] for r in rows], pa.list_(pa.string())),
-            "location": pa.array([r["location"] for r in rows], pa.string()),
-            "duration": pa.array([r["duration"] for r in rows], pa.string()),
-            "recurrence": pa.array([r["recurrence"] for r in rows], pa.string()),
-            "notes": pa.array([r["notes"] for r in rows], pa.string()),
-        }
-    )

@@ -1,5 +1,5 @@
-"""Wide aggregations: entity pools (top-k by count), salted degree counts,
-corpus analytics.
+"""Wide aggregations: entity pools (top-k by count), degree counts, corpus
+analytics.
 
 Reference semantics:
   - ``build_entity_pools``: grouped count of exploded attendee strings and
@@ -11,9 +11,10 @@ Scale pattern (ray_guide.md "Aggregation at scale"): every grouped count
 here PRE-AGGREGATES inside ``map_batches`` (one row per key per batch)
 before the shuffle, so the all-to-all exchange moves |distinct keys| x
 |batches| rows instead of every input row. Hub keys ("HQ", "Zoom" — the
-north-star's skewed hub entities) are additionally SALTED: the partial
-count key is ``(key, salt)`` with salt = hash(batch partition) % S, and a
-second tiny groupby folds the salts.
+north-star's skewed hub entities) are NOT salted: a hub ships one partial
+row per batch, and its fold task sums those rows. The ``salt_mod``
+parameters that remain are ignored by ``grouped_count``; no salted
+second fold exists.
 """
 
 from __future__ import annotations
@@ -85,15 +86,6 @@ def grouped_count(
         return pa.Table.from_pandas(df, preserve_index=False)
 
     return hash_partition_map(partials, "_gh", fold)
-
-
-def top_k_by_count(
-    ds: "ray.data.Dataset", key_col: str, k: int = 500, out_col: str = "n"
-) -> pd.DataFrame:
-    """Reference top-500 pool build: grouped count -> sort desc -> limit k.
-    Returns a small pandas frame (the broadcastable pool)."""
-    counts = grouped_count(ds, key_col, out_col=out_col)
-    return counts.sort([out_col, key_col], descending=[True, False]).limit(k).to_pandas()
 
 
 def attendee_location_pools(
@@ -303,7 +295,8 @@ def numeric_histogram(
 def entity_degree(triples_ds: "ray.data.Dataset", preds: Optional[List[str]] = None,
                   salt_mod: int = 16) -> "ray.data.Dataset":
     """Graph degree per object entity — the skew-prone hub aggregate.
-    Filter to linkable predicates, then salted grouped count on ``obj``."""
+    Filter to linkable predicates, then grouped count on ``obj``
+    (``salt_mod`` is passed through and ignored)."""
     import pyarrow.compute as pc
 
     preds = preds or ["hasAttendee", "hasLocation"]
@@ -435,7 +428,7 @@ def pivot_count(
     """Pivot a low-cardinality column into per-value count columns
     (SQL ``COUNT(*) FILTER (WHERE pivot = v)`` per v, GROUP BY key).
 
-    The pivot values are discovered with one salted grouped count when
+    The pivot values are discovered with one grouped count when
     not given (bounded by the column's distinct values); each batch then
     emits vectorized 0/1 indicator columns and the existing
     ``grouped_sums`` partial-aggregation path reduces them — the shuffle

@@ -185,7 +185,7 @@ def tag_documents(
     # ObjectRef, so reusing the same ref for the same dictionary lets
     # repeated calls skip the per-worker automaton rebuild (~1.5 s/worker
     # at 50k phrases — the dominant one-time cost, see
-    # scripts/scale_dicttag_check.py)
+    # scripts/scale.py dicttag)
     import hashlib
 
     fp = hashlib.md5("\x00".join(plist).encode()).hexdigest()

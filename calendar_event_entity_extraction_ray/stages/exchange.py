@@ -21,8 +21,10 @@ holds the explicit exchange as a reusable operator:
     (``ray.data.from_arrow_refs`` — never collected to the driver).
 
 Because the partition key is a uniform content hash, partitions stay
-balanced regardless of key skew in the data (hot KEYS still co-locate —
-salt upstream if a single key exceeds a worker, as grouped_count does).
+balanced regardless of key skew in the data. Hot KEYS still co-locate:
+every row of one key reaches one fold task, and nothing salts them. A
+caller bounds that by pre-aggregating per batch before the exchange, as
+grouped_count does (one partial row per key per batch).
 """
 
 from __future__ import annotations

@@ -164,13 +164,13 @@ def store_epochs(store_dir: str) -> List[str]:
 
 
 def _part_files(
-    store_dir: str, exclude_epoch: Optional[str]
+    store_dir: str, m: dict, exclude_epoch: Optional[str]
 ) -> "dict[int, List[Tuple[str, Optional[str]]]]":
     """{partition id: [(listed store file, its Bloom sidecar path or
-    None)]} across prior epochs — the (small, P-keyed) routing table the
-    storage-partitioned folds use. None marks a file written before the
-    sidecar existed (always read, never skipped)."""
-    m = STATE.load(store_dir)
+    None)]} across prior epochs of the loaded manifest ``m`` — the
+    (small, P-keyed) routing table the storage-partitioned folds use.
+    None marks a file written before the sidecar existed (always read,
+    never skipped)."""
     out: dict[int, List[Tuple[str, Optional[str]]]] = {}
     for e, ent in sorted(m["epochs"].items()):
         if e == exclude_epoch:
@@ -185,15 +185,18 @@ def _part_files(
     return out
 
 
-def store_rows(store_dir: str, exclude_epoch: Optional[str] = None) -> int:
-    m = STATE.load(store_dir)
+def _rows(m: dict, exclude_epoch: Optional[str] = None) -> int:
     return sum(int(ent["rows"]) for e, ent in m["epochs"].items()
                if e != exclude_epoch)
 
 
-def _load_store_arrays(store_dir: str, exclude_epoch: Optional[str]
+def store_rows(store_dir: str, exclude_epoch: Optional[str] = None) -> int:
+    return _rows(STATE.load(store_dir), exclude_epoch)
+
+
+def _load_store_arrays(store_dir: str, m: dict, exclude_epoch: Optional[str]
                        ) -> Tuple[np.ndarray, np.ndarray]:
-    files = [f for fs in _part_files(store_dir, exclude_epoch).values()
+    files = [f for fs in _part_files(store_dir, m, exclude_epoch).values()
              for f, _ in fs]
     if not files:
         z = np.zeros(0, dtype=np.int64)
@@ -218,12 +221,15 @@ def with_fingerprints(ds: "ray.data.Dataset",
     return ds.map_batches(f, batch_format="pyarrow")
 
 
+_BROADCAST_MAX_ROWS = 5_000_000
+
+
 def filter_against_store(
     fp_docs: "ray.data.Dataset",
     store_dir: str,
     exclude_epoch: Optional[str] = None,
     mode: str = "auto",
-    broadcast_max_rows: int = 5_000_000,
+    broadcast_max_rows: int = _BROADCAST_MAX_ROWS,
     keep_members: bool = False,
     io_log_dir: Optional[str] = None,
 ) -> "ray.data.Dataset":
@@ -238,8 +244,16 @@ def filter_against_store(
     sidecar (see BLOOM_BITS_PER_ROW): files no delta row can possibly
     hit are never opened. ``io_log_dir`` (diagnostics): folds append
     one json file each recording files/bytes read vs skipped — what
-    scripts/scale_fpstore_check.py sums to report the touched-IO drop."""
-    n_store = store_rows(store_dir, exclude_epoch)
+    ``scripts/scale.py fpstore`` sums to report the touched-IO drop."""
+    return _filter_loaded(fp_docs, store_dir, STATE.load(store_dir),
+                          exclude_epoch, mode, broadcast_max_rows,
+                          keep_members, io_log_dir)
+
+
+def _filter_loaded(fp_docs, store_dir, m, exclude_epoch, mode,
+                   broadcast_max_rows, keep_members, io_log_dir):
+    """filter_against_store against the already-loaded manifest ``m``."""
+    n_store = _rows(m, exclude_epoch)
     if n_store == 0:
         return (fp_docs.limit(0) if keep_members else fp_docs)
     if mode == "auto":
@@ -247,7 +261,7 @@ def filter_against_store(
                 else "exchange")
 
     if mode == "broadcast":
-        sh1, sh2 = _load_store_arrays(store_dir, exclude_epoch)
+        sh1, sh2 = _load_store_arrays(store_dir, m, exclude_epoch)
         ref = ray.put((sh1, sh2))
 
         def drop(b: pa.Table) -> pa.Table:
@@ -267,9 +281,8 @@ def filter_against_store(
         hash_partition_map,
     )
 
-    m = STATE.load(store_dir)
     p_total = int(m["num_partitions"])
-    parts = _part_files(store_dir, exclude_epoch)
+    parts = _part_files(store_dir, m, exclude_epoch)
     if io_log_dir:
         os.makedirs(io_log_dir, exist_ok=True)
 
@@ -409,11 +422,13 @@ def dedup_incremental(
         exact_dedup,
     )
 
+    # load (and so reject an older-format store) before the exchange
+    m = STATE.load(store_dir)
     within = exact_dedup(new_docs, [text_col], id_col)
     fp = with_fingerprints(within, text_col)
-    survivors = filter_against_store(fp, store_dir, exclude_epoch=epoch,
-                                     mode=mode,
-                                     io_log_dir=io_log_dir).materialize()
+    survivors = _filter_loaded(fp, store_dir, m, epoch, mode,
+                               _BROADCAST_MAX_ROWS,
+                               False, io_log_dir).materialize()
     append_epoch(survivors, store_dir, epoch,
                  num_partitions=num_partitions)
     return survivors.drop_columns(["_h1", "_h2"])
@@ -437,7 +452,7 @@ def compact_store(store_dir: str) -> dict:
     m = STATE.load(store_dir)
     if not m["epochs"]:
         return m
-    parts = _part_files(store_dir, None)
+    parts = _part_files(store_dir, m, None)
     base = base_epoch(m)
 
     @ray.remote(num_cpus=1)

@@ -891,13 +891,6 @@ def random_walks(
 # Pregel connected components (min-label + message-based pointer jumping)
 # ---------------------------------------------------------------------------
 
-def _elem_min(a, b):
-    """Elementwise min that works for object (string) arrays too."""
-    import numpy as np
-
-    return np.where(b < a, b, a)
-
-
 def _grouped_min_arrays(keys, vals):
     """(keys, grouped-min vals) via one sort + minimum.reduceat — the
     per-round combiner of the Pregel CC loop (pandas groupby.min

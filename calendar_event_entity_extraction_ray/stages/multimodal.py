@@ -36,18 +36,6 @@ from calendar_event_entity_extraction_ray.functions.imagecodec import (
     resize_nearest,
 )
 
-MEDIA_SCHEMA = pa.schema(
-    [
-        ("media_id", pa.int64()),
-        ("kind", pa.string()),        # image | audio | video
-        ("payload", pa.binary()),
-        ("mime", pa.string()),
-        ("width", pa.int32()),        # typed metadata (nullable)
-        ("height", pa.int32()),
-        ("duration_ms", pa.int32()),
-    ]
-)
-
 _NO_STATS = {"px_width": -1, "px_height": -1, "mean_r_e4": -1,
              "mean_g_e4": -1, "mean_b_e4": -1, "std_gray_e4": -1,
              "dur_ms": -1, "rms_e4": -1, "zcr_e4": -1}

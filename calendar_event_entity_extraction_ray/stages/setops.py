@@ -57,7 +57,7 @@ def set_op(
     20M x 20M rows / 32 cpus: 19% faster when batches hold ~150 copies
     per element (100k-key bags), noise-level when batches are already
     distinct (2M-key bags) — so the default stays on;
-    ``scripts/scale_setop_check.py --pre-distinct`` reproduces both."""
+    ``scripts/scale.py setop --pre-distinct on|off`` reproduces both."""
     if op not in _OPS:
         raise ValueError(f"op={op!r}: one of {_OPS}")
     if op == "union_all":

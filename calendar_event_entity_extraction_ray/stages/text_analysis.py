@@ -1,8 +1,8 @@
-"""Text-analysis operators over a documents table: token counting, quality
-scoring, language-ID, fingerprinting.
+"""Text-analysis operators over a documents table: token counting,
+language-ID, fingerprinting, document frequency and term co-occurrence.
 
 Arrow-native kernels inside ``map_batches`` (``batch_format="pyarrow"``,
-zero-copy out of the object store). The token/quality kernels use explicit
+zero-copy out of the object store). The token kernels use explicit
 regex definitions evaluated by Arrow's RE2 — the same engine DuckDB uses —
 so the oracle SQL in ``__ray_entry__.oracle_sql`` is bit-identical by
 construction; names and formulas must stay in sync with those SQL strings.
@@ -32,33 +32,13 @@ def _count_re(text: "pa.ChunkedArray | pa.Array", pattern: str) -> pa.Array:
 
 
 def token_count_batch(batch: pa.Table, text_col: str = "text") -> pa.Table:
-    """whitespace tokens + BPE-ish tokens per doc — two RE2 count kernels
+    r"""whitespace tokens + BPE-ish tokens per doc — two RE2 count kernels
     per batch; ``\S+`` match count == trim+split-on-whitespace length."""
     text = batch.column(text_col)
     return pa.table({
         "doc_id": batch.column("doc_id"),
         "n_tokens_ws": _count_re(text, r"\S+"),
         "n_tokens_bpe": _count_re(text, _BPE_PATTERN),
-    })
-
-
-def quality_batch(batch: pa.Table, text_col: str = "text") -> pa.Table:
-    """Quality features; formulas mirror the oracle SQL exactly."""
-    import numpy as np
-
-    text = batch.column(text_col)
-    n = pc.cast(pc.fill_null(pc.utf8_length(text), 0),
-                pa.int64()).to_numpy().astype(np.float64)
-    alpha = _count_re(text, r"[A-Za-z]").to_numpy().astype(np.float64)
-    digit = _count_re(text, r"[0-9]").to_numpy().astype(np.float64)
-    punct = _count_re(text, r"[^A-Za-z0-9\s]").to_numpy().astype(np.float64)
-    nz = np.maximum(n, 1.0)
-    return pa.table({
-        "doc_id": batch.column("doc_id"),
-        "n_chars": pa.array(n.astype(np.int64)),
-        "alpha_ratio": pa.array(np.where(n > 0, alpha / nz, 0.0)),
-        "digit_ratio": pa.array(np.where(n > 0, digit / nz, 0.0)),
-        "punct_ratio": pa.array(np.where(n > 0, punct / nz, 0.0)),
     })
 
 

@@ -197,6 +197,26 @@ def test_older_state_dir_rejected_unchanged(ray_session, tmp_path, store):
     assert _snapshot(sd, name) == before
 
 
+
+def test_fpstore_ingest_rejects_older_format_before_exchange(tmp_path,
+                                                             monkeypatch):
+    """dedup_incremental reads the store's state JSON before
+    exact_dedup's exchange runs over the epoch."""
+    from calendar_event_entity_extraction_ray.stages import dedup
+
+    name, old = OLD["fpstore"]
+    sd = str(tmp_path / "fpstore")
+    os.makedirs(sd)
+    with open(os.path.join(sd, name), "w") as f:
+        json.dump(old, f)
+
+    def exchange(*args, **kwargs):
+        raise AssertionError("exact_dedup ran before the format check")
+
+    monkeypatch.setattr(dedup, "exact_dedup", exchange)
+    with pytest.raises(ValueError, match="older format"):
+        F.dedup_incremental(None, sd, "e1")
+
 # -- pinned params ---------------------------------------------------------
 
 PINNED = {
