@@ -46,7 +46,7 @@ def run_bench() -> dict:
     ctx.execution_options.verbose_progress = False
 
     sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-    import __ray_entry__ as E
+    from calendar_event_entity_extraction_ray.catalog import REGISTRY
     from calendar_event_entity_extraction_ray.pipelines.kg import (
         kg_triples,
         materialize_graph,
@@ -87,62 +87,10 @@ def run_bench() -> dict:
 
     queries = {}
     query_names = [] if os.environ.get("GRAFT_SKIP_QUERIES") else [
-        "q1_lineitem_agg", "events_hourly", "dedup_signature",
-        "token_counts", "quality_scores", "knn_topk",
-        "customer_order_totals", "augment_records",
-        # round-2 operators
-        "order_revenue_hashjoin", "sessionize", "tokenize_records",
-        "corpus_clean", "order_price_quantiles", "error_click_burst",
-        # late-round operators
-        "segment_revenue", "user_windows", "pagerank_dups",
-        "user_event_pivot", "jaccard_pairs_docs",
-        # round-3 operators
-        "model_scored_docs", "user_range_sum",
-        "customer_order_counts_left", "minhash_dedup_docs",
-        "order_global_rank", "decontaminate_docs", "pack_docs",
-        "dedup_spans_docs", "training_sequences",
-        "region_nation_revenue", "brand_small_qty",
-        # continuation operators
-        "first_order", "supplier_value_share", "cm_user_counts",
-        "knn_pq", "levenshtein_pairs_docs",
-        # final-session operators
-        "priority_exists", "nation_pair_volume",
-        "decontaminate_docs_bloom", "mix_sources",
-        # classic-plan + corpus-op completions
-        "custdist", "profit_by_nation_year", "market_share",
-        "winsorized_chars", "funnel_conversion", "co_attendance",
-        # late-session operators
-        "doc_len_hist", "doc_repetition", "segment_nation_orders",
-        "lm_scored_docs", "dsir_selected_docs", "semdedup_embeddings",
-        "parts_supplier_cnt", "dominant_part_supplier",
-        "bpe_tokenized_docs", "resample_user_hourly",
-        "simhash_near_docs", "shuffle_docs", "doc_len_drift",
-        # continuation-session operators
-        "error_click_pairs", "entity_resolution",
-        "entity_resolution_freq", "orders_price_range",
-        # continuation-2: graph analytics + retrieval + robust stats
-        "kg_attendee_kcore", "kg_bfs_hops", "bm25_topk_docs",
-        "user_active_coverage", "value_mad_outliers",
-        "kg_attendee_walks", "kg_attendee_communities",
-        "user_event_patterns", "knn_stored",
-        # round-4: PQ-coded store scan + watermarked late-data windows
-        "knn_stored_pq", "late_data_windows", "late_data_sessions",
-        "late_data_sliding",
-        # round-4 continuation: count windows + decayed counters +
-        # unigram-LM tokenizer
-        "count_windows", "count_windows_sliding", "decayed_user_counts",
-        "unigram_tokenized_docs",
-        # round-4 continuation-2: dictionary tagging, CDC dedup, PMI,
-        # entity registry, per-group sampling
-        "dict_tag_docs", "cdc_dedup_docs", "pmi_term_pairs",
-        "entity_registry", "grouped_sample_docs", "hll_state_distinct",
-        "trending_users",
-        # round-5: sealed-window serving read (sharded watermark state)
-        # + epoch-incremental SemDeDup + histogram state
-        "sealed_windows_total", "semdedup_incremental",
-        "hist_state_quantiles"]
+        n for n, q in REGISTRY.items() if q.bench]
+
     def _time_query(name: str) -> float:
-        fn = E.queries()[name]
+        fn = REGISTRY[name].fn
         t0 = time.time()
         res = fn(sf_dir)
         if hasattr(res, "count") and not hasattr(res, "shape"):

@@ -44,7 +44,7 @@ PLACES_LOWER = [
 ]
 
 # Hub entities (skew knob): a small set repeated across a large fraction of
-# pages to exercise salted aggregation (FIXTURES.md F1).
+# pages to exercise hub-key skew in the grouped counts (FIXTURES.md F1).
 HUB_LOCATIONS = ["HQ", "Zoom"]
 
 FIRST_NAMES = [

@@ -1,7 +1,7 @@
 """The reference's augmentation pipeline (augmentation/main.py:103-193) as a
 Ray Data pipeline over flattened event records.
 
-    records -> normalize -> [entity pools: salted grouped count + top-k,
+    records -> normalize -> [entity pools: pre-aggregated grouped count + top-k,
     broadcast] -> 1-per-row augment (actor pool) -> union synth records ->
     exact first-wins dedup (hash shuffle, ordered by row_id) ->
     random_shuffle(seed+1) -> hash split 75/15/10 -> leakage anti-join

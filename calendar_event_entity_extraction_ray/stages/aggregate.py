@@ -11,10 +11,8 @@ Scale pattern (ray_guide.md "Aggregation at scale"): every grouped count
 here PRE-AGGREGATES inside ``map_batches`` (one row per key per batch)
 before the shuffle, so the all-to-all exchange moves |distinct keys| x
 |batches| rows instead of every input row. Hub keys ("HQ", "Zoom" — the
-north-star's skewed hub entities) are NOT salted: a hub ships one partial
-row per batch, and its fold task sums those rows. The ``salt_mod``
-parameters that remain are ignored by ``grouped_count``; no salted
-second fold exists.
+north-star's skewed hub entities) are not salted: a hub ships one partial
+row per batch, and its fold task sums those rows.
 """
 
 from __future__ import annotations
@@ -28,26 +26,15 @@ import ray.data
 from ray.data.aggregate import Count, Max, Mean, Min, Sum
 
 
-def partial_count_batch(batch: pa.Table, key_col: str, salt_mod: int = 0) -> pa.Table:
-    """Per-batch partial count -> (key, [salt,] partial) rows."""
+def partial_count_batch(batch: pa.Table, key_col: str) -> pa.Table:
+    """Per-batch partial count -> (key, partial) rows."""
     df = batch.select([key_col]).to_pandas()
     counts = df.groupby(key_col, dropna=True).size().reset_index(name="partial")
-    if salt_mod:
-        # Deterministic batch-content salt (NOT Python's salted str hash):
-        # spreads a hot key's many partial rows over salt_mod sub-groups in
-        # the big exchange; the fold-up groupby then sees ≤ salt_mod rows/key.
-        import hashlib
-
-        first = batch.column(key_col)[0].as_py() if batch.num_rows else ""
-        h = hashlib.md5(
-            f"{batch.num_rows}:{first}:{counts['partial'].sum()}".encode()
-        ).digest()
-        counts["salt"] = int.from_bytes(h[:4], "little") % salt_mod
     return pa.Table.from_pandas(counts, preserve_index=False)
 
 
 def grouped_count(
-    ds: "ray.data.Dataset", key_col: str, out_col: str = "n", salt_mod: int = 8
+    ds: "ray.data.Dataset", key_col: str, out_col: str = "n"
 ) -> "ray.data.Dataset":
     """count(*) GROUP BY key with per-batch partial pre-aggregation and
     an explicit exchange reduce.
@@ -58,7 +45,6 @@ def grouped_count(
     the earlier salted Ray-groupby reduce, whose sort-based shuffle
     degraded on high-cardinality keys (measured at 5M rows: 200k keys
     38 s -> 3 s, 2M keys 68 s -> 5 s; low-cardinality timings unchanged).
-    ``salt_mod`` is retained for API compatibility and ignored.
 
     NULL keys are DROPPED (oracle SQL pairs with ``WHERE key IS NOT
     NULL``); ``grouped_sums`` keeps NULL groups, matching plain SQL
@@ -73,7 +59,7 @@ def grouped_count(
 
     partials = ds.map_batches(
         lambda b: add_hash_column(
-            partial_count_batch(b, key_col, salt_mod=0), [key_col],
+            partial_count_batch(b, key_col), [key_col],
             out_col="_gh"),
         batch_format="pyarrow",
     )
@@ -292,11 +278,10 @@ def numeric_histogram(
     return grouped_sums(binned, by + ["bin_lo"], [], count_alias=out_col)
 
 
-def entity_degree(triples_ds: "ray.data.Dataset", preds: Optional[List[str]] = None,
-                  salt_mod: int = 16) -> "ray.data.Dataset":
+def entity_degree(triples_ds: "ray.data.Dataset",
+                  preds: Optional[List[str]] = None) -> "ray.data.Dataset":
     """Graph degree per object entity — the skew-prone hub aggregate.
-    Filter to linkable predicates, then grouped count on ``obj``
-    (``salt_mod`` is passed through and ignored)."""
+    Filter to linkable predicates, then grouped count on ``obj``."""
     import pyarrow.compute as pc
 
     preds = preds or ["hasAttendee", "hasLocation"]
@@ -305,7 +290,7 @@ def entity_degree(triples_ds: "ray.data.Dataset", preds: Optional[List[str]] = N
         return b.filter(pc.is_in(b.column("pred"), value_set=pa.array(preds)))
 
     filtered = triples_ds.map_batches(flt, batch_format="pyarrow")
-    return grouped_count(filtered, "obj", out_col="degree", salt_mod=salt_mod)
+    return grouped_count(filtered, "obj", out_col="degree")
 
 
 def corpus_stats(ds: "ray.data.Dataset", text_col: str = "text") -> pd.DataFrame:

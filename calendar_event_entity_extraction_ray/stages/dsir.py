@@ -28,7 +28,7 @@ pretraining pipeline runs over raw web text, expressed Ray-Data-first:
   - RESAMPLING is Gumbel top-k (sampling without replacement with
     probability proportional to the importance weight): key_i =
     logratio_i + Gumbel(u_i) with the deterministic md5-driven uniform of
-    the A-ES weighted sampler (__ray_entry__.q_weighted_sample_docs).
+    the A-ES weighted sampler (catalog/corpus.py:q_weighted_sample_docs).
     Distributed as a partial top-k per block + one tiny final fold — no
     global sort, nothing driver-side grows with the corpus.
 """

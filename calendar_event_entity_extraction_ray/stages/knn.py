@@ -87,6 +87,24 @@ class _SrpBucket:
         return batch.append_column("bucket", pa.array(buckets.astype(np.int64)))
 
 
+def codebook_sample(ds: "ray.data.Dataset", n: int,
+                    vec_col: str = "embedding") -> np.ndarray:
+    """The first ``n`` rows of ``vec_col`` in input order, as a float64
+    matrix: the codebook-training sample. ``ds.limit(n)`` alone keeps the
+    rows of whichever blocks finish first, so the same input could train
+    a different codebook; the sample runs with ``preserve_order`` set on
+    ``ds``'s own context (restored afterwards; the global ``DataContext``
+    is never touched)."""
+    opts = ds.context.execution_options
+    was = opts.preserve_order
+    opts.preserve_order = True
+    try:
+        rows = ds.limit(n).take_all()
+    finally:
+        opts.preserve_order = was
+    return np.asarray([r[vec_col] for r in rows], dtype=np.float64)
+
+
 def train_ivf_codebook(
     sample: np.ndarray, n_cells: int = 16, n_iters: int = 10, seed: int = 13
 ) -> np.ndarray:
@@ -139,12 +157,11 @@ def knn_ivf(
 ) -> pa.Table:
     """Approximate top-k via IVF: brute-force only the ``n_probe`` cells
     whose centroids are nearest the query. One codebook-training sample
-    pass (``ds.limit(sample_size)`` — deterministic), one assignment pass,
-    then the filtered brute force."""
+    pass (the first ``sample_size`` rows, ``codebook_sample``), one
+    assignment pass, then the filtered brute force."""
     import pyarrow.compute as pc
 
-    sample_rows = ds.limit(sample_size).take_all()
-    sample = np.asarray([r[vec_col] for r in sample_rows], dtype=np.float64)
+    sample = codebook_sample(ds, sample_size, vec_col)
     cents = train_ivf_codebook(sample, n_cells=n_cells, seed=seed)
 
     q = np.asarray(query, dtype=np.float64)
@@ -482,8 +499,7 @@ def knn_pq(
         run_stage,
     )
 
-    sample_rows = ds.limit(sample_size).take_all()
-    sample = np.asarray([r[vec_col] for r in sample_rows], dtype=np.float64)
+    sample = codebook_sample(ds, sample_size, vec_col)
     cb = train_pq_codebook(sample, m=m, n_codes=n_codes, seed=seed)
     cb_ref = ray.put(cb)
 
@@ -603,8 +619,7 @@ def knn_ivfpq(
         run_stage,
     )
 
-    sample_rows = ds.limit(sample_size).take_all()
-    sample = np.asarray([r[vec_col] for r in sample_rows], dtype=np.float64)
+    sample = codebook_sample(ds, sample_size, vec_col)
     coarse = train_ivf_codebook(sample, n_cells=n_cells, seed=seed)
     sm = sample / np.clip(np.linalg.norm(sample, axis=1, keepdims=True),
                           1e-12, None)

@@ -5,7 +5,7 @@ of one subject are co-located by a hash exchange on ``subj``
 (stages/exchange.py) and folded back into the 8-slot event record (the
 exact inverse of the S3 explode). Because ``subj`` is a uniform hash id,
 the partition key cannot skew — hub-entity skew lives on ``obj`` and is
-handled by the salted degree aggregate (stages/aggregate.py:entity_degree)
+handled by the pre-aggregated degree count (stages/aggregate.py:entity_degree)
 instead.
 
 Round 1 folded one subject at a time inside ``groupby.map_groups`` — 10^9

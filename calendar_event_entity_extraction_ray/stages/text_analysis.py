@@ -4,7 +4,7 @@ language-ID, fingerprinting, document frequency and term co-occurrence.
 Arrow-native kernels inside ``map_batches`` (``batch_format="pyarrow"``,
 zero-copy out of the object store). The token kernels use explicit
 regex definitions evaluated by Arrow's RE2 — the same engine DuckDB uses —
-so the oracle SQL in ``__ray_entry__.oracle_sql`` is bit-identical by
+so the oracle SQL in ``catalog/corpus.py`` is bit-identical by
 construction; names and formulas must stay in sync with those SQL strings.
 langid/fingerprint/repetition wrap per-row Python functions (documented
 cold-path loops); their wrappers still take/return Arrow so the non-text
@@ -97,9 +97,10 @@ def term_document_frequency(
     ds: "ray.data.Dataset", text_col: str = "text", top_n: int = 50
 ) -> "ray.data.Dataset":
     """Corpus vocabulary by document frequency (the df side of TF-IDF):
-    per-doc DISTINCT space-split terms explode to rows, then the salted
-    two-phase grouped count — the shuffle moves per-batch (term, partial)
-    rows bounded by the batch vocabulary, not one row per occurrence.
+    per-doc DISTINCT space-split terms explode to rows, then the
+    pre-aggregated grouped count — the shuffle moves per-batch (term,
+    partial) rows bounded by the batch vocabulary, not one row per
+    occurrence.
     Returns the top ``top_n`` terms by (df DESC, term ASC). Tokenization
     is exactly ``str.split(' ')`` (empty tokens kept) so a DuckDB
     ``string_split`` oracle reproduces it byte-for-byte."""
@@ -194,7 +195,7 @@ def pmi_term_pairs(
     is bounded to the ``top_n`` highest-df terms, so the corpus-sized
     work is two bounded passes:
 
-      1. ``term_document_frequency`` (salted grouped count) for the
+      1. ``term_document_frequency`` (pre-aggregated grouped count) for the
          top-``top_n`` vocabulary — broadcast as a tiny index dict;
       2. one explode pass emitting per-batch PRE-AGGREGATED pair
          partials (a bincount over top_n^2 pair ids — at most

@@ -85,8 +85,10 @@ def build_ivf_store(
     pq_m: Optional[int] = None,
     pq_codes: int = 256,
 ) -> dict:
-    """Build the store; returns the manifest dict. Re-running overwrites
-    (the build is deterministic for a given input + seed).
+    """Build the store; returns the manifest dict. Re-running overwrites.
+    The codebooks train on the first ``sample_size`` rows in input order
+    (``knn.codebook_sample``), so the build is deterministic for a given
+    input + seed whatever order its blocks finish in.
 
     ``pq_m`` adds a PQ-coded column per cell (the 100-TB scan path): each
     row stores ``pq_code`` — ``pq_m`` uint8 residual codes (Jegou et al.
@@ -101,6 +103,7 @@ def build_ivf_store(
     )
     from calendar_event_entity_extraction_ray.stages.knn import (
         _IvfAssign,
+        codebook_sample,
         train_ivf_codebook,
         train_pq_codebook,
     )
@@ -109,8 +112,7 @@ def build_ivf_store(
     )
 
     os.makedirs(out_dir, exist_ok=True)
-    sample_rows = ds.limit(sample_size).take_all()
-    sample = np.asarray([r[vec_col] for r in sample_rows], dtype=np.float64)
+    sample = codebook_sample(ds, sample_size, vec_col)
     cents = train_ivf_codebook(sample, n_cells=n_cells, seed=seed)
     n_cells = len(cents)          # may clamp on tiny inputs
     cents_ref = ray.put(cents)

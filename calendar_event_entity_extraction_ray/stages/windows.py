@@ -1,8 +1,8 @@
 """Streaming-shaped window operators.
 
 Tumbling and sliding windows are stateless per-row window assignments
-composed in the queries (floor_temporal / window explode -> salted grouped
-count). Session windows need per-key ordered state, so they exchange on the
+composed in the queries (floor_temporal / window explode -> pre-aggregated
+grouped count). Session windows need per-key ordered state, so they exchange on the
 key hash and fold each partition with ONE vectorized pass (round 1 ran a
 Python fold per user via ``groupby.map_groups`` — the per-group-call
 anti-pattern at billions of keys).

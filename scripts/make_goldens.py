@@ -10,7 +10,7 @@ actor pools, and batch boundaries cannot silently change results.
 
 Scale parameters are pinned to the driver's correctness gate (sf0.01):
 n_pages=500, n_records=200, n_media=100 — the same values
-``__ray_entry__._n_pages`` / ``_synth_records`` derive from sf0.01.
+``catalog._n_pages`` / ``catalog/media.py:_synth_records`` derive from sf0.01.
 
 Usage: python scripts/make_goldens.py [name ...]
 Regenerating after an intentional semantic change is expected; an
@@ -36,8 +36,8 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 GOLDEN_DIR = os.path.join(REPO, "tests", "golden", "oracle")
 SF_DIR = "/root/testdata/sf0.01"
 
-N_PAGES = 500      # == __ray_entry__._n_pages("sf0.01")
-N_RECORDS = 200    # == __ray_entry__._synth_records at sf0.01
+N_PAGES = 500      # == catalog._n_pages("sf0.01")
+N_RECORDS = 200    # == catalog/media.py:_synth_records at sf0.01
 N_MEDIA = 100      # == q_media_* at sf0.01
 
 
@@ -1052,7 +1052,7 @@ def _bpe_mirror():
     distributed trainer calls — exact counts + the shared (count DESC,
     word ASC) cap rule make both sides' capped histograms, hence merges,
     identical by construction. (n_merges, top_k) pinned to
-    __ray_entry__._bpe_model's values."""
+    catalog/corpus.py:_bpe_model's values."""
     from calendar_event_entity_extraction_ray.functions.bpe import (
         cap_word_counts,
         learn_bpe,
@@ -1107,7 +1107,7 @@ def _unigram_mirror():
     (functions/unigram.py) the distributed trainer calls — exact counts
     + the shared cap rule hand both sides the same word-type table, and
     everything after is one pure single-process float chain. (vocab_size,
-    top_k) pinned to __ray_entry__._unigram_model's values."""
+    top_k) pinned to catalog/corpus.py:_unigram_model's values."""
     from calendar_event_entity_extraction_ray.functions.bpe import (
         cap_word_counts,
         word_counts,

@@ -22,11 +22,28 @@ class TestDriverContract:
 
         qs = E.queries()
         sqls = E.oracle_sql()
-        assert len(qs) >= 30
-        # every oracle key must have a matching query
-        assert set(sqls) <= set(qs)
-        # at least 20 SQL-checked
-        assert len(sqls) >= 20
+        # every query carries an oracle, and every oracle a query
+        assert set(qs) == set(sqls)
+        assert len(qs) == 194
+        assert all(isinstance(v, str) and v for v in sqls.values())
+
+    def test_duplicate_registration_rejected(self):
+        import pytest
+
+        from calendar_event_entity_extraction_ray.catalog import REGISTRY, query
+
+        before = dict(REGISTRY)
+        with pytest.raises(ValueError, match="doc_stats"):
+            query("doc_stats", "SELECT 1")(lambda sf_dir: None)
+        assert REGISTRY == before
+
+    def test_bench_flags(self):
+        from calendar_event_entity_extraction_ray.catalog import REGISTRY
+
+        bench = [n for n, q in REGISTRY.items() if q.bench]
+        assert len(bench) == len(set(bench)) == 89
+        assert {"q1_lineitem_agg", "segment_revenue",
+                "hist_state_quantiles"} <= set(bench)
 
     def test_one_query_runs(self, ray_session):
         import __ray_entry__ as E

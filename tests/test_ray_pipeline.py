@@ -269,7 +269,7 @@ class TestGroupedCount:
         keys = rng.choice(["x", "y", "z", "hub"], p=[0.1, 0.1, 0.1, 0.7], size=5000)
         df = pd.DataFrame({"k": keys})
         ds = ray.data.from_pandas(df).repartition(8)
-        out = grouped_count(ds, "k", out_col="n", salt_mod=4).to_pandas()
+        out = grouped_count(ds, "k", out_col="n").to_pandas()
         expect = df.groupby("k").size().reset_index(name="n")
         merged = out.sort_values("k").reset_index(drop=True)
         expect = expect.sort_values("k").reset_index(drop=True)

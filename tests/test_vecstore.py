@@ -507,3 +507,41 @@ class TestCompactCrashInjection:
             for d in e.get("deltas", []):
                 assert not os.path.exists(
                     os.path.join(crash_root, d["file"]))
+
+
+def test_codebook_sample_ignores_block_timing(ray_session, tmp_path):
+    """The first block of the input finishes last; the codebook must
+    still train on the first ``sample_size`` rows in input order, not on
+    whichever blocks finished first."""
+    import time
+
+    import ray
+
+    from calendar_event_entity_extraction_ray.stages.knn import (
+        train_ivf_codebook,
+    )
+    from calendar_event_entity_extraction_ray.stages.vecstore import (
+        build_ivf_store,
+    )
+
+    def vectors(ids: np.ndarray) -> np.ndarray:
+        return np.stack([np.sin(ids * (k + 1) / 997.0) + (ids // 1000)
+                         for k in range(8)], axis=1)
+
+    def embed(b: pa.Table) -> pa.Table:
+        ids = b.column("id").to_numpy()
+        if ids.min() == 0:
+            time.sleep(2.0)
+        return pa.table({
+            "vec_id": pa.array(ids, pa.int64()),
+            "embedding": pa.array(list(vectors(ids)),
+                                  pa.list_(pa.float64())),
+        })
+
+    ds = ray.data.range(4000, override_num_blocks=4).map_batches(
+        embed, batch_format="pyarrow")
+    manifest = build_ivf_store(ds, str(tmp_path / "ivf"), n_cells=4,
+                               sample_size=1000)
+    want = train_ivf_codebook(vectors(np.arange(1000)), n_cells=4, seed=13)
+    np.testing.assert_array_equal(np.asarray(manifest["centroids"]), want)
+    assert ds.context.execution_options.preserve_order is False
