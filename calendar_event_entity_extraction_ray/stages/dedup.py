@@ -425,10 +425,10 @@ def minhash_lsh_dup_ids(
     The cluster-keeper rule (round-3): a doc transitively linked to a
     smaller-id doc is dropped even when no single band holds both — the
     canonicalization a sequential dedup with union-find would produce.
-    Components run on ``stages/graph.py:connected_components`` (min-label
-    pointer jumping on the exchange; adaptive single-task union-find below
-    SMALL_ROWS), so the pair graph — proportional to the dup rate — never
-    reaches the driver.
+    Components run on ``stages/graph.py:connected_components`` (adaptive
+    single-task union-find up to CC_SMALL_EDGES, min-label propagation
+    with pointer jumping on the superstep core above), so the pair graph
+    — proportional to the dup rate — never reaches the driver.
 
     Returns a Dataset with a single ``{id_col}`` column of ids to drop.
     """

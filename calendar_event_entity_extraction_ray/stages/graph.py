@@ -1,36 +1,39 @@
-"""Graph analytics over edge lists: distributed connected components.
+"""Graph analytics over undirected edge lists: connected components,
+PageRank, k-core, BFS distances, random walks and label propagation.
 
-The canonicalization step a near-dup pipeline needs after pair generation:
-pairs (a, b) form clusters, every member maps to the cluster's minimum id
-(the canonical representative — the same keep-smallest convention as the
-dedup family).
+Connected components is the canonicalization step a near-dup pipeline
+needs after pair generation: pairs (a, b) form clusters, every member
+maps to the cluster's minimum id (the canonical representative — the
+same keep-smallest convention as the dedup family).
 
-Every iterative operator here (connected components, PageRank, BFS,
-k-core, random walks) runs on one Pregel skeleton above the small-input
-cutoffs: the symmetrized edge set is spilled into hash partitions ONCE
-(_pin_edges, through the exchange's ``spill_partitions``, by the one
-node assignment ``_part_of`` that also routes every message; CSR-sorted
-and cached per worker process), per-partition
-vertex state lives in the object store, and rounds exchange only
-messages (labels / mass / frontiers / death notifications) as direct
-plasma refs — the edge set never moves again. The earlier formulation
-re-shuffled edges + state through disk exchanges every round; measured
-replacements: BFS 5M nodes 121 s -> 18.8 s, k-core 17-round cascade
-148 s -> 13.8 s.
+Every algorithm has a single-task mirror (``_*_single``) for edge lists
+up to its small-input cutoff. Above it, one superstep core runs a
+per-partition ``step`` and ``finish`` per algorithm: ``_prepare``
+symmetrizes and counts the edges once, and ``_supersteps`` spills them
+into hash partitions ONCE (``_pin_edges``, by the one node assignment
+``_part_of`` that also routes every message; CSR-sorted and cached per
+worker). Vertex state lives per partition in the object store, and
+rounds exchange only messages as direct plasma refs — the edge set never
+moves again (re-shuffling edges + state every round measured BFS 5M
+nodes 121 s vs 18.8 s, k-core 17-round cascade 148 s vs 13.8 s).
 """
 
 from __future__ import annotations
 
+import logging
 from functools import partial
 from typing import Optional
 
+import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 import ray.data
 
 from calendar_event_entity_extraction_ray.stages.dedup import hash64_columns
 from calendar_event_entity_extraction_ray.stages.exchange import (
+    SMALL_ROWS,
     read_spill,
     release_spill_dir,
     spill_dir_for,
@@ -51,569 +54,82 @@ def _schema_col_type(esch, col: str):
     return esch.types[esch.names.index(col)]
 
 
-def _union_find_fold(t: pa.Table) -> pa.Table:
-    """Single-task exact components over one (node, dst) edge table:
-    union-find with path compression, then min node id per root as the
-    cluster label (identical output contract to the iterative path).
-    Node ids may be any orderable type — ints (doc/vec ids) or strings
-    (entity surface forms, stages/resolve.py); MIN on strings is
-    lexicographic, matching both pandas and DuckDB binary collation."""
-    import numpy as np
+# ---------------------------------------------------------------------------
+# The superstep core: one edge prep, one driver
+# ---------------------------------------------------------------------------
 
-    node_type = t.schema.field("node").type
-    a = t.column("node").to_pandas().to_numpy()
-    b = t.column("dst").to_pandas().to_numpy()
-    parent: dict = {}
+def _prepare(edges: "ray.data.Dataset", a_col: str, b_col: str, *,
+             distinct: bool, num_partitions: Optional[int],
+             small_rows: int = CC_SMALL_EDGES):
+    """Symmetrize (a, b) pairs into (node, dst) rows, materialize and count
+    them once, and pick the path. ``distinct`` drops self-loops, and drops
+    duplicates where all copies of an edge meet: in the one task of the
+    small path (here, in Arrow), or per pinned partition in ``_edge_csr``
+    (every copy shares its source node, hence its partition).
 
-    def find(x):
-        r = x
-        while parent.get(r, r) != r:
-            r = parent[r]
-        while parent.get(x, x) != r:  # path compression
-            parent[x], x = r, parent[x]
-        return r
-
-    for x, y in zip(a.tolist(), b.tolist()):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[max(rx, ry)] = min(rx, ry)  # min root wins -> min label
-    nodes = np.unique(np.concatenate([a, b])).tolist()
-    labels = [find(n) for n in nodes]
-    return pa.table({"node": pa.array(nodes, type=node_type),
-                     "cluster": pa.array(labels, type=node_type)})
-
-
-def connected_components(
-    edges: "ray.data.Dataset",
-    a_col: str,
-    b_col: str,
-    max_iters: int = 50,
-    num_partitions: Optional[int] = None,
-) -> "ray.data.Dataset":
-    """(a, b) undirected edge list -> (node, cluster) with cluster = min
-    node id of the component. Isolated nodes don't appear (no edges).
-    Small edge lists fold in one union-find task; above the cutoff the
-    Pregel loop (_cc_pregel: min-label propagation + message-based
-    pointer jumping over pinned edge partitions) takes over."""
+    Returns ``(sym, node_type, n_parts)``: ``sym`` is None on an empty
+    edge list; ``n_parts`` is None when ``sym`` (then one block) is small
+    enough for the single-task mirror, else the Pregel partition count."""
 
     def symmetrize(b: pa.Table) -> pa.Table:
-        a = b.column(a_col)
-        bb = b.column(b_col)
-        return pa.table({
-            "node": pa.chunked_array(list(a.chunks) + list(bb.chunks)),
-            "dst": pa.chunked_array(list(bb.chunks) + list(a.chunks)),
-        })
-
-    # edges are re-joined every round — pin them once
-    sym = edges.map_batches(symmetrize, batch_format="pyarrow").materialize()
-    sch = sym.schema()
-    n_edges = sym.count() if sch is not None else 0
-    if sch is None or n_edges == 0:
-        # empty edge list: no components (isolated nodes never appear).
-        # Emit a TYPED empty table — a schema-less empty dataset breaks
-        # downstream joins (all-singleton entity resolution hit this)
-        if sch is not None:
-            ntype = sch.types[0]
-        else:
-            ntype = _schema_col_type(edges.schema(), a_col)
-        return ray.data.from_arrow(pa.table({
-            "node": pa.array([], ntype), "cluster": pa.array([], ntype)}))
-    node_type = sch.types[0]
-
-    # adaptive small path: the iterative algorithm costs ~4 plan
-    # executions PER ROUND — on an edge list that fits one task, a single
-    # union-find fold replaces 3+ rounds of exchanges (measured 6.4s ->
-    # ~1s on the sf0.01 dup graph). The cutoff is far above the
-    # exchange's SMALL_ROWS: union-find is O(E a(E)) and a single task
-    # folds 2M string edges in ~15s / 2M int edges in ~3s (measured),
-    # while the iterative path pays its per-round exchange tax on the
-    # SAME data many times over at that size (150k edges measured 24s
-    # iterative vs ~1s folded). The iterative path is the 10^9+-edge
-    # multi-node shape.
-    if num_partitions is None and n_edges <= CC_SMALL_EDGES:
-        return (sym.repartition(1)
-                .map_batches(_union_find_fold, batch_size=None,
-                             batch_format="pyarrow"))
-
-    return _cc_pregel(sym, node_type,
-                      int(num_partitions) if num_partitions
-                      else max(8, n_edges // 500_000), max_iters)
-
-
-def _pagerank_single(t: pa.Table, d: float, iters: int) -> pa.Table:
-    """Single-task exact PageRank over one symmetrized (node, dst) edge
-    table — the small-graph shortcut AND the golden mirror (the
-    distributed path must match it exactly: same float64 ops, same
-    iteration order)."""
-    import numpy as np
-
-    a = t.column("node").to_pandas().to_numpy()
-    b = t.column("dst").to_pandas().to_numpy()
-    nodes, inv_a = np.unique(a, return_inverse=True)
-    inv_b = np.searchsorted(nodes, b)
-    n = len(nodes)
-    deg = np.bincount(inv_a, minlength=n).astype(np.float64)
-    rank = np.full(n, 1.0 / n)
-    for _ in range(iters):
-        contrib = rank / deg                      # every node has edges
-        incoming = np.zeros(n)
-        np.add.at(incoming, inv_b, contrib[inv_a])
-        rank = (1.0 - d) / n + d * incoming
-    return pa.table({"node": pa.array(nodes, pa.int64()),
-                     "rank_e9": pa.array(
-                         np.floor(rank * 1e9 + 0.5).astype(np.int64),
-                         pa.int64())})
-
-
-def pagerank(
-    edges: "ray.data.Dataset",
-    a_col: str,
-    b_col: str,
-    damping: float = 0.85,
-    iters: int = 10,
-    num_partitions: Optional[int] = None,
-) -> "ray.data.Dataset":
-    """PageRank over an UNDIRECTED edge list (edges symmetrized, so every
-    node has degree >= 1 — no dangling-mass term). Fixed ``iters``
-    rounds; output (node, rank_e9) with ranks floor-scaled to 1e-9 so
-    results hash-compare against the single-process mirror (the
-    distributed path agrees to the last e9 digit +/- 1 ulp-of-rounding —
-    float sums associate differently across partitions).
-
-    Small graphs (<= the exchange's small-input threshold) solve in ONE
-    numpy task. The large path is the same Pregel loop as
-    bfs_distances/k_core: edges pinned into CSR partitions once
-    (dedup=False — mass flows once per edge INSTANCE), per-partition
-    (nodes, deg, rank) state in the object store, and each round ships
-    only per-destination mass contributions PRE-SUMMED by dst inside the
-    sender (a partition emits at most one row per distinct dst it
-    references, the combiner shape) — the edge set itself never moves
-    after the pin, where the join-per-round formulation re-shuffled
-    edges + ranks through disk every one of the ``iters`` rounds."""
-    import numpy as np
-
-    from calendar_event_entity_extraction_ray.stages.exchange import (
-        SMALL_ROWS,
-    )
-
-    def symmetrize(b: pa.Table) -> pa.Table:
-        a = b.column(a_col)
-        bb = b.column(b_col)
-        return pa.table({
-            "node": pa.chunked_array(list(a.chunks) + list(bb.chunks)),
-            "dst": pa.chunked_array(list(bb.chunks) + list(a.chunks)),
-        })
-
-    sym = edges.map_batches(symmetrize, batch_format="pyarrow").materialize()
-    n_edges = sym.count()
-
-    if num_partitions is None and n_edges <= SMALL_ROWS:
-        return (sym.repartition(1)
-                .map_batches(lambda t: _pagerank_single(t, damping, iters),
-                             batch_size=None, batch_format="pyarrow"))
-
-    sch = sym.schema()
-    node_type = sch.types[0]
-    n_parts = (int(num_partitions) if num_partitions
-               else max(8, n_edges // 500_000))
-
-    edge_dir, files_of, eager_cleanup = _pin_edges(
-        sym, n_parts, "cee_pr_edges_")
-    parts = sorted(files_of)
-
-    part_of = partial(_part_of, node_type=node_type, n_parts=n_parts)
-
-    @ray.remote(num_cpus=1)
-    def init(part_id: int):
-        node_s, _ = _edge_csr(edge_dir, part_id, files_of[part_id],
-                              dedup=False)
-        nodes, counts = np.unique(node_s, return_counts=True)
-        return (nodes, counts.astype(np.float64)), len(nodes)
-
-    @ray.remote(num_cpus=1)
-    def scatter(part_id: int, state, ranks):
-        """per-node contribution rank/deg fanned across out-edges, summed
-        by dst INSIDE the sender, split by dst partition."""
-        node_s, dst_s = _edge_csr(edge_dir, part_id, files_of[part_id],
-                                  dedup=False)
-        nodes, deg = state
-        contrib = ranks / deg
-        # every source row in node_s is present in nodes (built from it)
-        per_edge = contrib[np.searchsorted(nodes, node_s)]
-        # combine by dst before shipping
-        u_dst, inv = np.unique(dst_s, return_inverse=True)
-        mass = np.zeros(len(u_dst))
-        np.add.at(mass, inv, per_edge)
-        dest = part_of(u_dst)
-        out = []
-        for q in range(n_parts):
-            sel = dest == q
-            out.append((u_dst[sel], mass[sel]))
-        return tuple(out)
-
-    @ray.remote(num_cpus=1)
-    def gather(state, n_total, d, *msgs):
-        nodes, _deg = state
-        incoming = np.zeros(len(nodes))
-        for ids, mass in msgs:
-            if len(ids):
-                incoming[np.searchsorted(nodes, ids)] += mass
-        return (1.0 - d) / n_total + d * incoming
-
-    @ray.remote(num_cpus=1)
-    def finalize(state, ranks):
-        nodes, _deg = state
-        return pa.table({
-            "node": pa.array(nodes.tolist(), type=node_type),
-            "rank_e9": pa.array(
-                np.floor(ranks * 1e9 + 0.5).astype(np.int64), pa.int64())})
-
-    init_out = {p: init.options(num_returns=2).remote(p) for p in parts}
-    state_ref = {p: init_out[p][0] for p in parts}
-    n_total = int(sum(ray.get([init_out[p][1] for p in parts])))
-
-    @ray.remote(num_cpus=1)
-    def seed(state, n):
-        nodes, _deg = state
-        return np.full(len(nodes), 1.0 / n)
-
-    ranks_ref = {p: seed.remote(state_ref[p], n_total) for p in parts}
-    for _ in range(iters):
-        scat = {p: scatter.options(num_returns=n_parts).remote(
-            p, state_ref[p], ranks_ref[p]) for p in parts}
-        ranks_ref = {p: gather.remote(
-            state_ref[p], n_total, damping,
-            *[scat[q][p] for q in parts]) for p in parts}
-    out_refs = [finalize.remote(state_ref[p], ranks_ref[p]) for p in parts]
-    ray.wait(out_refs, num_returns=len(out_refs))
-    release_spill_dir(edge_dir, eager_cleanup)
-    return ray.data.from_arrow_refs(out_refs)
-
-
-def _sym_local_distinct(
-    edges: "ray.data.Dataset", a_col: str, b_col: str,
-) -> "ray.data.Dataset":
-    """(a, b) pairs -> symmetrized (node, dst) edges with self-loops
-    dropped and PER-BATCH dedup (cuts spill volume; global distinctness
-    is finished downstream: the single-task path dedups in one frame,
-    the Pregel path dedups per pinned partition inside _edge_csr —
-    exact either way because both copies of a duplicate land in the
-    same node-hash partition)."""
-
-    def symmetrize(b: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
         a = b.column(a_col)
         bb = b.column(b_col)
         t = pa.table({
             "node": pa.chunked_array(list(a.chunks) + list(bb.chunks)),
             "dst": pa.chunked_array(list(bb.chunks) + list(a.chunks)),
         })
-        t = t.filter(pc.invert(pc.equal(t.column("node"), t.column("dst"))))
-        df = t.to_pandas().drop_duplicates()
-        return pa.Table.from_pandas(df, preserve_index=False)
-
-    return edges.map_batches(symmetrize, batch_format="pyarrow")
-
-
-def _kcore_single(t: pa.Table, k: int) -> pa.Table:
-    """Single-task exact k-core peel over one DISTINCT symmetrized
-    (node, dst) edge table — the small-graph shortcut (the distributed
-    path must produce the identical (node, deg) set)."""
-    import numpy as np
-
-    node_type = t.schema.field("node").type
-    a = t.column("node").to_pandas().to_numpy()
-    b = t.column("dst").to_pandas().to_numpy()
-    nodes, inv_a = np.unique(a, return_inverse=True)
-    inv_b = np.searchsorted(nodes, b)
-    alive_edge = np.ones(len(a), dtype=bool)
-    while True:
-        deg = np.bincount(inv_a[alive_edge], minlength=len(nodes))
-        alive_node = deg >= k
-        drop = alive_edge & (~alive_node[inv_a] | ~alive_node[inv_b])
-        if not drop.any():
-            break
-        alive_edge &= ~drop
-    deg = np.bincount(inv_a[alive_edge], minlength=len(nodes))
-    keep = deg >= k
-    return pa.table({
-        "node": pa.array(nodes[keep].tolist(), type=node_type),
-        "deg": pa.array(deg[keep].astype(np.int64), pa.int64())})
-
-
-def k_core(
-    edges: "ray.data.Dataset",
-    a_col: str,
-    b_col: str,
-    k: int,
-    max_iters: int = 100,
-    num_partitions: Optional[int] = None,
-) -> "ray.data.Dataset":
-    """k-core decomposition: (a, b) undirected edge list -> (node, deg)
-    for every node of the maximal subgraph in which all degrees are >= k
-    (deg = the node's degree WITHIN the core). Degree counts distinct
-    neighbors; duplicate pairs and self-loops are ignored.
-
-    Algorithm: iterative peeling. Each round computes degrees (one
-    exchange fold over node-hash partitions), drops nodes with deg < k,
-    and filters edges to surviving endpoints (two semi joins — one per
-    endpoint). Rounds to fixpoint is the peel depth (web-ish graphs:
-    a handful); per-round driver state is ONE count, never node lists.
-    Small edge lists (<= CC_SMALL_EDGES) peel in a single numpy task."""
-    sym = _sym_local_distinct(edges, a_col, b_col)
-    sym = sym.materialize()
-    sch = sym.schema()
-    n_edges = sym.count() if sch is not None else 0
-    if sch is None or n_edges == 0:
-        ntype = _schema_col_type(edges.schema(), a_col)
-        return ray.data.from_arrow(pa.table({
-            "node": pa.array([], ntype),
-            "deg": pa.array([], pa.int64())}))
-    node_type = sch.types[0]
-
-    if num_partitions is None and n_edges <= CC_SMALL_EDGES:
-        def dedup_peel(t: pa.Table) -> pa.Table:
-            df = t.to_pandas().drop_duplicates()
-            return _kcore_single(
-                pa.Table.from_pandas(df, preserve_index=False), k)
-
-        return (sym.repartition(1)
-                .map_batches(dedup_peel,
-                             batch_size=None, batch_format="pyarrow"))
-
-    return _kcore_pregel(sym, node_type, k, max_iters,
-                         int(num_partitions) if num_partitions
-                         else max(8, n_edges // 500_000))
-
-
-def _kcore_pregel(sym, node_type, k: int, max_iters: int, n_parts: int):
-    """Distributed peeling as a Pregel loop over pinned edge partitions:
-    the DISTINCT symmetrized edges spill into hash partitions once
-    (CSR-cached per worker); per-partition state is (nodes, deg, alive)
-    numpy arrays in the object store. Each round a partition applies
-    incoming death notifications (one bincount decrement), peels local
-    nodes that fell below k, and sends each victim's out-edge endpoints
-    to their partitions — every edge carries at most one message per
-    direction over the WHOLE run, so total traffic is O(E) regardless of
-    peel depth (the exchange-per-round formulation paid ~3 shuffles of
-    the full edge set PER ROUND — measured 148 s for a 17-round cascade
-    that this loop finishes in a few seconds)."""
-    import numpy as np
-
-    edge_dir, files_of, eager_cleanup = _pin_edges(
-        sym, n_parts, "cee_kcore_edges_")
-    parts = sorted(files_of)
-
-    part_of = partial(_part_of, node_type=node_type, n_parts=n_parts)
-
-    @ray.remote(num_cpus=1)
-    def step(part_id: int, state, *msgs):
-        """Apply death notifications, peel, notify. Returns
-        (state, per-dest counts, *per-dest notification arrays) — each
-        destination's array is its own object, so receivers take refs
-        straight from plasma and nothing routes through the driver."""
-        node_s, dst_s = _edge_csr(edge_dir, part_id, files_of[part_id])
-        if state is None:
-            nodes, counts = np.unique(node_s, return_counts=True)
-            deg = counts.astype(np.int64)
-            alive = np.ones(len(nodes), dtype=bool)
-        else:
-            nodes, deg, alive = state
-            deg = deg.copy()
-            alive = alive.copy()
-            if msgs:
-                ids = np.concatenate([np.asarray(m) for m in msgs])
-                if len(ids):
-                    idx = np.searchsorted(nodes, ids)
-                    deg -= np.bincount(idx, minlength=len(nodes))
-        dying = alive & (deg < k)
-        alive &= ~dying
-        n_died = int(dying.sum())
-        out = [np.empty(0, dtype=object)] * n_parts
-        if n_died:
-            victims = nodes[dying]
-            lo = np.searchsorted(node_s, victims, side="left")
-            hi = np.searchsorted(node_s, victims, side="right")
-            cnt = hi - lo
-            total = int(cnt.sum())
-            if total:
-                starts = np.repeat(lo, cnt)
-                offs = np.arange(total) - np.repeat(
-                    np.cumsum(cnt) - cnt, cnt)
-                notify = dst_s[starts + offs]   # WITH multiplicity
-                dest = part_of(notify)
-                out = [notify[dest == q] for q in range(n_parts)]
-        counts = np.array([len(o) for o in out], dtype=np.int64)
-        return ((nodes, deg, alive), counts, *out)
-
-    @ray.remote(num_cpus=1)
-    def finalize(state):
-        nodes, deg, alive = state
-        return pa.table({
-            "node": pa.array(nodes[alive].tolist(), type=node_type),
-            "deg": pa.array(deg[alive], pa.int64())})
-
-    state_ref = {p: None for p in parts}
-    incoming: dict = {p: [] for p in parts}   # per-dest msg-array refs
-    active = list(parts)                       # round 0: everyone peels
-    for _ in range(max_iters + 1):
-        if not active:
-            break
-        counts_ref, msg_refs = {}, {}
-        for p in active:
-            rets = step.options(num_returns=2 + n_parts).remote(
-                p, state_ref[p], *incoming[p])
-            state_ref[p], counts_ref[p] = rets[0], rets[1]
-            msg_refs[p] = rets[2:]
-            incoming[p] = []
-        # only counts (tiny int arrays) come to the driver; message
-        # payloads move receiver <- plasma directly
-        for p in active:
-            counts = ray.get(counts_ref[p])
-            for q in np.nonzero(counts)[0]:
-                incoming[int(q)].append(msg_refs[p][int(q)])
-        active = [p for p in parts if incoming[p]]
-
-    if active:
-        # iteration-exhaustion exit with pending death notifications:
-        # the survivors are a SUPERSET of the true k-core (the single-task
-        # path peels to fixpoint). Loud, like the minhash band-cap skips.
-        import logging
-
-        logging.getLogger(__name__).warning(
-            "_kcore_pregel: stopped after max_iters=%d rounds with %d "
-            "partition(s) still holding undelivered death notifications "
-            "— result is a superset of the true %d-core; raise max_iters",
-            max_iters, len(active), k)
-
-    out_refs = [finalize.remote(state_ref[p]) for p in parts
-                if state_ref[p] is not None]
-    release_spill_dir(edge_dir, eager_cleanup)
-    if not out_refs:
-        return ray.data.from_arrow(pa.table({
-            "node": pa.array([], node_type),
-            "deg": pa.array([], pa.int64())}))
-    return ray.data.from_arrow_refs(out_refs)
-
-
-# ---------------------------------------------------------------------------
-# BFS shortest-path distances
-# ---------------------------------------------------------------------------
-
-def _bfs_single(t: pa.Table, sources, max_depth: int) -> pa.Table:
-    """Single-task exact BFS over one symmetrized (node, dst) edge table
-    — the small-graph shortcut (the distributed path must match it)."""
-    import numpy as np
-
-    node_type = t.schema.field("node").type
-    a = t.column("node").to_pandas().to_numpy()
-    b = t.column("dst").to_pandas().to_numpy()
-    nodes, inv_a = np.unique(a, return_inverse=True)
-    inv_b = np.searchsorted(nodes, b)
-    n = len(nodes)
-    dist = np.full(n, -1, dtype=np.int64)
-    # sources absent from the edge list are isolated — emitted at dist 0
-    # below (the iterative path seeds them unconditionally; contract:
-    # every source appears, unreachable non-sources don't)
-    src_idx = np.asarray(
-        [i for i, s in zip(np.searchsorted(nodes, sources), sources)
-         if i < n and nodes[i] == s], dtype=np.int64)
-    isolated = [s for i, s in zip(np.searchsorted(nodes, sources), sources)
-                if not (i < n and nodes[i] == s)]
-    dist[src_idx] = 0
-    frontier = src_idx
-    d = 0
-    while len(frontier) and d < max_depth:
-        d += 1
-        on_frontier = np.zeros(n, dtype=bool)
-        on_frontier[frontier] = True
-        nxt = np.unique(inv_b[on_frontier[inv_a]])
-        nxt = nxt[dist[nxt] < 0]
-        dist[nxt] = d
-        frontier = nxt
-    keep = dist >= 0
-    return pa.table({
-        "node": pa.array(nodes[keep].tolist() + isolated, type=node_type),
-        "dist": pa.array(list(dist[keep]) + [0] * len(isolated),
-                         pa.int64())})
-
-
-def bfs_distances(
-    edges: "ray.data.Dataset",
-    a_col: str,
-    b_col: str,
-    sources,
-    max_depth: int = 25,
-    num_partitions: Optional[int] = None,
-) -> "ray.data.Dataset":
-    """Unweighted shortest-path distances from ``sources`` over an
-    undirected edge list -> (node, dist), dist in [0, max_depth];
-    unreachable nodes don't appear (sources always do, at dist 0).
-
-    Distinct from connected_components: labels are DISTANCES, so pointer
-    jumping does not apply — rounds = source eccentricity. A naive
-    join-per-round re-ships the WHOLE edge set every round (measured
-    121 s for 7 rounds on a 5M-node tree); instead this is a
-    Pregel-style loop: the symmetrized edges are spilled into hash
-    partitions ONCE (CSR-sorted and cached per worker process), label
-    state lives per partition in the object store, and each round ships
-    only frontier nodes out and candidate (dst, dist) messages back —
-    per-round cost is O(frontier + its adjacency), not O(E + V). In BFS
-    the first arrival is minimal, so the per-partition merge is a set
-    difference (never a re-relaxation) and the loop ends when every
-    frontier is empty. Small edge lists solve in a single numpy task.
-
-    Multi-node note: the edge spill obeys CEE_SPILL_ROOT like the
-    exchange (node-local tempdir otherwise — single-filesystem
-    assumption); candidate messages move through the object store."""
-    sources = list(sources)
-
-    def symmetrize(b: pa.Table) -> pa.Table:
-        a = b.column(a_col)
-        bb = b.column(b_col)
-        return pa.table({
-            "node": pa.chunked_array(list(a.chunks) + list(bb.chunks)),
-            "dst": pa.chunked_array(list(bb.chunks) + list(a.chunks)),
-        })
+        if distinct:
+            t = t.filter(pc.not_equal(t.column("node"), t.column("dst")))
+        return t
 
     sym = edges.map_batches(symmetrize, batch_format="pyarrow").materialize()
     sch = sym.schema()
     n_edges = sym.count() if sch is not None else 0
-    if sch is None or n_edges == 0:
-        ntype = _schema_col_type(edges.schema(), a_col)
-        return ray.data.from_arrow(pa.table({
-            "node": pa.array([], ntype), "dist": pa.array([], pa.int64())}))
-    node_type = sch.types[0]
+    if n_edges == 0:
+        # a schema-less empty dataset breaks downstream joins (all-singleton
+        # entity resolution hit this): callers emit a TYPED empty table
+        return None, (sch.types[0] if sch is not None
+                      else _schema_col_type(edges.schema(), a_col)), 0
+    if num_partitions is None and n_edges <= small_rows:
+        one = sym.repartition(1)
+        if distinct:
+            one = one.map_batches(
+                lambda t: t.group_by(["node", "dst"]).aggregate([]),
+                batch_size=None, batch_format="pyarrow")
+        return one, sch.types[0], None
+    return sym, sch.types[0], (int(num_partitions) if num_partitions
+                               else max(8, n_edges // 500_000))
 
-    if num_partitions is None and n_edges <= CC_SMALL_EDGES:
-        return (sym.repartition(1)
-                .map_batches(lambda t: _bfs_single(t, sources, max_depth),
-                             batch_size=None, batch_format="pyarrow"))
 
-    return _bfs_pregel(sym, node_type, sources, max_depth,
-                       int(num_partitions) if num_partitions
-                       else max(8, n_edges // 500_000))
+def _empty(**types) -> "ray.data.Dataset":
+    return ray.data.from_arrow(pa.table(
+        {c: pa.array([], t) for c, t in types.items()}))
+
+
+def _single(one: "ray.data.Dataset", fn) -> "ray.data.Dataset":
+    return one.map_batches(fn, batch_size=None, batch_format="pyarrow")
 
 
 # per-worker-process cache of one pinned edge spill's partitions in CSR
 # form (node-sorted numpy arrays): read+sorted once per worker per
-# partition, reused every BFS round. Keyed by spill dir; switching to a
-# new BFS run drops the old run's tables.
+# partition, reused every round. Keyed by spill dir; switching to a new
+# run drops the old run's tables.
 _EDGE_CACHE: dict = {"dir": None, "parts": {}}
 
 
-def _edge_csr(edge_dir: str, part_id: int, files: tuple,
-              dedup: bool = True):
-    import numpy as np
-
+def _edge_csr(edge_dir: str, part_id: int, files: tuple, dedup: bool,
+              node_type):
     if _EDGE_CACHE["dir"] != edge_dir:
         _EDGE_CACHE["dir"] = edge_dir
         _EDGE_CACHE["parts"] = {}
     key = (part_id, dedup)
     got = _EDGE_CACHE["parts"].get(key)
     if got is None:
-        t = read_spill(edge_dir, part_id, files)
+        if files:
+            t = read_spill(edge_dir, part_id, files)
+        else:   # no edge hashed here: the partition still holds state
+            t = pa.table({"node": pa.array([], node_type),
+                          "dst": pa.array([], node_type)})
         # partition-local distinct == global distinct (all copies of an
         # edge share the source node, hence the partition); k-core
         # degree counting REQUIRES it, BFS is merely insensitive to it.
@@ -646,8 +162,9 @@ def _part_of(nodes, node_type, n_parts: int) -> "np.ndarray":
 def _pin_edges(sym, n_parts: int, prefix: str):
     """Spill a symmetrized (node, dst) edge dataset into hash partitions
     ONCE through the exchange's phase 1 — the static build side of the
-    Pregel loops. Returns (edge_dir, files_of, eager_cleanup); the caller
-    hands the last two to ``release_spill_dir``. Obeys CEE_SPILL_ROOT."""
+    superstep loop. Returns (edge_dir, files_of, eager_cleanup); the
+    caller hands the last two to ``release_spill_dir``. Obeys
+    CEE_SPILL_ROOT."""
     edge_dir, eager_cleanup = spill_dir_for(prefix)
     listing = spill_partitions(
         sym, lambda b: _part_of(b.column("node"), None, n_parts), edge_dir)
@@ -656,88 +173,524 @@ def _pin_edges(sym, n_parts: int, prefix: str):
     return edge_dir, files_of, eager_cleanup
 
 
-def _bfs_pregel(sym, node_type, sources, max_depth: int, n_parts: int):
+def _route(out, node_type, n_parts: int) -> list:
+    """One outbox -> one message per destination partition (None = no
+    message). ``out`` is None, or a tuple of equal-length columns whose
+    first column holds destination node ids, split by ``_part_of``; a
+    None first column sends the remaining columns to every partition."""
+    if out is None:
+        return [None] * n_parts
+    key, *cols = out
+    if key is None:
+        return [tuple(cols)] * n_parts
+    if not len(key):
+        return [None] * n_parts
+    dest = _part_of(key, node_type, n_parts)
+    return [tuple(c[dest == q] for c in out) for q in range(n_parts)]
+
+
+@ray.remote(num_cpus=1)
+def _superstep(step, csr_args, state, r: int, *inbox):
+    """One partition, one round -> (state, per-destination message counts,
+    *one message per destination). Each message is its own object, so
+    receivers take refs straight from plasma; only counts reach the
+    driver."""
+    edge_dir, part_id, files, dedup, node_type, n_parts = csr_args
+    state, out = step(_edge_csr(edge_dir, part_id, files, dedup, node_type),
+                      state, list(inbox), r)
+    msgs = _route(out, node_type, n_parts)
+    counts = np.array([0 if m is None else len(m[0]) for m in msgs])
+    return (state, counts, *msgs)
+
+
+@ray.remote(num_cpus=1)
+def _finish(finish, state) -> pa.Table:
+    return finish(state)
+
+
+def _supersteps(sym, node_type, n_parts: int, step, finish, max_round: int,
+                *, name: str, dedup: bool = True, seed=None):
+    """The one Pregel loop. Each round r = 0..``max_round`` runs
+    ``step(csr, state, inbox, r) -> (state, outbox)`` on every partition
+    (``csr``: its pinned (node_s, dst_s); ``inbox``: the messages sent to
+    it last round, in sender-partition order; outbox as in ``_route``).
+    Round 0 builds the state, and its inbox holds the ``seed`` outbox.
+    The loop ends after the first round that sends nothing; ending at
+    ``max_round`` with messages pending warns, because the result is then
+    not the fixpoint the single-task mirror computes. Returns the
+    ``finish(state)`` rows of every partition."""
+    edge_dir, files_of, eager_cleanup = _pin_edges(
+        sym, n_parts, f"cee_{name}_edges_")
+    state = [None] * n_parts
+    inbox = [[ray.put(m)] if m is not None and len(m[0]) else []
+             for m in _route(seed, node_type, n_parts)]
+    for r in range(max_round + 1):
+        rets = [_superstep.options(num_returns=2 + n_parts).remote(
+            step, (edge_dir, p, files_of.get(p, ()), dedup, node_type,
+                   n_parts), state[p], r, *inbox[p])
+            for p in range(n_parts)]
+        state = [rt[0] for rt in rets]
+        counts = ray.get([rt[1] for rt in rets])
+        inbox = [[rets[p][2 + q] for p in range(n_parts) if counts[p][q]]
+                 for q in range(n_parts)]
+        if not any(inbox):
+            break
+    else:
+        logging.getLogger(__name__).warning(
+            "%s: stopped after round %d with messages still pending — the "
+            "result is not the fixpoint (a k-core superset, or split "
+            "components); raise max_iters", name, max_round)
+    out_refs = [_finish.remote(finish, s) for s in state]
+    ray.wait(out_refs, num_returns=len(out_refs))
+    release_spill_dir(edge_dir, eager_cleanup)
+    return ray.data.from_arrow_refs(out_refs)
+
+
+def _out_edges(node_s, f):
+    """CSR row indices of every out-edge of the nodes ``f`` (with
+    multiplicity), and each f's out-degree."""
+    lo = np.searchsorted(node_s, f, side="left")
+    cnt = np.searchsorted(node_s, f, side="right") - lo
+    total = int(cnt.sum())
+    offs = np.arange(total) - np.repeat(np.cumsum(cnt) - cnt, cnt)
+    return np.repeat(lo, cnt) + offs, cnt
+
+
+def _cat(inbox: list, n_cols: int) -> tuple:
+    """An inbox (list of message tuples) as one tuple of columns."""
+    if not inbox:
+        return tuple(np.empty(0, np.int64) for _ in range(n_cols))
+    return tuple(np.concatenate([m[i] for m in inbox])
+                 for i in range(n_cols))
+
+
+def _label_rows(state, node_type, col: str) -> pa.Table:
+    nodes, label = state[0], state[1]
+    return pa.table({"node": pa.array(nodes.tolist(), type=node_type),
+                     col: pa.array(label.tolist(), type=node_type)})
+
+
+# ---------------------------------------------------------------------------
+# Connected components (min-label propagation + message-based pointer
+# jumping)
+# ---------------------------------------------------------------------------
+
+def _union_find_fold(t: pa.Table) -> pa.Table:
+    """Single-task exact components over one (node, dst) edge table:
+    union-find with path compression, then min node id per root as the
+    cluster label (identical output contract to the iterative path).
+    Node ids may be any orderable type — ints (doc/vec ids) or strings
+    (entity surface forms, stages/resolve.py); MIN on strings is
+    lexicographic, matching both pandas and DuckDB binary collation."""
+    node_type = t.schema.field("node").type
+    a = t.column("node").to_pandas().to_numpy()
+    b = t.column("dst").to_pandas().to_numpy()
+    parent: dict = {}
+
+    def find(x):
+        r = x
+        while parent.get(r, r) != r:
+            r = parent[r]
+        while parent.get(x, x) != r:  # path compression
+            parent[x], x = r, parent[x]
+        return r
+
+    for x, y in zip(a.tolist(), b.tolist()):
+        rx, ry = find(x), find(y)
+        if rx != ry:
+            parent[max(rx, ry)] = min(rx, ry)  # min root wins -> min label
+    nodes = np.unique(np.concatenate([a, b])).tolist()
+    labels = [find(n) for n in nodes]
+    return pa.table({"node": pa.array(nodes, type=node_type),
+                     "cluster": pa.array(labels, type=node_type)})
+
+
+def _grouped_min_arrays(keys, vals):
+    """(keys, grouped-min vals) via one sort + minimum.reduceat — the
+    sender-side combiner of the CC propagate phase (pandas groupby.min
+    measured ~2-3x slower at 20M rows/round on the ring worst case)."""
+    order = np.argsort(keys, kind="stable")
+    k, v = keys[order], vals[order]
+    bounds = np.empty(len(k), dtype=bool)
+    bounds[0] = True
+    bounds[1:] = k[1:] != k[:-1]
+    starts = np.nonzero(bounds)[0]
+    try:
+        best = np.minimum.reduceat(v, starts)
+    except TypeError:   # object dtype without a reduceat fast path
+        best = np.array([v[s0:s1].min() for s0, s1 in
+                         zip(starts, list(starts[1:]) + [len(v)])],
+                        dtype=object)
+    return k[bounds], best
+
+
+def _cc_lower(nodes, label, changed, inbox) -> None:
+    """Apply (node, label) offers in place: a label only ever decreases.
+    Message by message — one node may hear from several senders."""
+    for ids, labs in inbox:
+        idx = np.searchsorted(nodes, ids)
+        better = labs < label[idx]
+        label[idx[better]] = labs[better]
+        changed[idx[better]] = True
+
+
+def _cc_step(csr, state, inbox, r):
+    """One CC iteration is three rounds, state (nodes, label, changed):
+
+      r % 3 == 0  apply jump replies (r > 0); nodes whose label changed
+        this iteration push it across their edges, MIN-combined per dst
+        inside the sender;
+      r % 3 == 1  apply those candidates; every node with label != node
+        asks partition(label) for label(label) (request);
+      r % 3 == 2  the owner replies; the asker takes the min next round.
+
+    Chains collapse in O(log diameter) iterations — WITHOUT the jumps, a
+    path graph needs diameter rounds (a 10M-node ring would need 5M).
+    The run ends at the first propagate round with nothing to send."""
+    node_s, dst_s = csr
+    if r == 0:
+        nodes = np.unique(node_s)
+        state = (nodes, nodes.copy(), np.ones(len(nodes), dtype=bool))
+    nodes, label, changed = state
+    phase = r % 3
+    if phase == 2:
+        targets, askers = _cat(inbox, 2)
+        return state, (askers, label[np.searchsorted(nodes, targets)])
+    if r:
+        label = label.copy()
+        changed = (np.zeros(len(nodes), dtype=bool) if phase == 1
+                   else changed.copy())
+        _cc_lower(nodes, label, changed, inbox)
+    if phase == 1:
+        non_root = label != nodes
+        return (nodes, label, changed), (label[non_root], nodes[non_root])
+    frontier = np.nonzero(changed)[0]
+    idx, cnt = _out_edges(node_s, nodes[frontier])
+    out = None
+    if len(idx):
+        out = _grouped_min_arrays(dst_s[idx],
+                                  np.repeat(label[frontier], cnt))
+    return (nodes, label, changed), out
+
+
+def connected_components(
+    edges: "ray.data.Dataset",
+    a_col: str,
+    b_col: str,
+    max_iters: int = 50,
+    num_partitions: Optional[int] = None,
+) -> "ray.data.Dataset":
+    """(a, b) undirected edge list -> (node, cluster) with cluster = min
+    node id of the component. Isolated nodes don't appear (no edges).
+
+    Adaptive small path: the iterative algorithm costs several rounds of
+    tasks; on an edge list that fits one task (<= CC_SMALL_EDGES), a
+    single union-find fold replaces them (measured 6.4s -> ~1s on the
+    sf0.01 dup graph; union-find is O(E a(E)) and folds 2M string edges
+    in ~15s / 2M int edges in ~3s). Above the cutoff, or with
+    ``num_partitions`` set, ``_cc_step`` runs on the superstep core —
+    the 10^9+-edge multi-node shape; stopping at ``max_iters`` before
+    the fixpoint warns."""
+    sym, ntype, n_parts = _prepare(edges, a_col, b_col, distinct=False,
+                                   num_partitions=num_partitions)
+    if sym is None:
+        return _empty(node=ntype, cluster=ntype)
+    if n_parts is None:
+        return _single(sym, _union_find_fold)
+    return _supersteps(sym, ntype, n_parts, _cc_step,
+                       partial(_label_rows, node_type=ntype, col="cluster"),
+                       3 * max_iters, name="cc")
+
+
+# ---------------------------------------------------------------------------
+# PageRank
+# ---------------------------------------------------------------------------
+
+def _pagerank_single(t: pa.Table, d: float, iters: int) -> pa.Table:
+    """Single-task exact PageRank over one symmetrized (node, dst) edge
+    table — the small-graph shortcut AND the golden mirror (the
+    distributed path must match it exactly: same float64 ops, same
+    iteration order)."""
     import numpy as np
 
-    edge_dir, files_of, eager_cleanup = _pin_edges(
-        sym, n_parts, "cee_bfs_edges_")
+    a = t.column("node").to_pandas().to_numpy()
+    b = t.column("dst").to_pandas().to_numpy()
+    nodes, inv_a = np.unique(a, return_inverse=True)
+    inv_b = np.searchsorted(nodes, b)
+    n = len(nodes)
+    deg = np.bincount(inv_a, minlength=n).astype(np.float64)
+    rank = np.full(n, 1.0 / n)
+    for _ in range(iters):
+        contrib = rank / deg                      # every node has edges
+        incoming = np.zeros(n)
+        np.add.at(incoming, inv_b, contrib[inv_a])
+        rank = (1.0 - d) / n + d * incoming
+    return pa.table({"node": pa.array(nodes, pa.int64()),
+                     "rank_e9": pa.array(
+                         np.floor(rank * 1e9 + 0.5).astype(np.int64),
+                         pa.int64())})
 
-    part_of = partial(_part_of, node_type=node_type, n_parts=n_parts)
 
-    empty_labels = pa.table({"node": pa.array([], node_type),
-                             "dist": pa.array([], pa.int64())})
+def _pagerank_step(csr, state, inbox, r, *, d: float, iters: int):
+    """Round 0 builds (nodes, deg) and broadcasts the local node count;
+    round 1 seeds rank 1/n; rounds 2.. add the incoming mass in
+    sender-partition order. Rounds 1..iters then send each node's
+    rank/deg across its edge instances, summed per dst inside the sender
+    (the combiner shape: at most one row per distinct dst)."""
+    node_s, dst_s = csr
+    if r == 0:
+        nodes, counts = np.unique(node_s, return_counts=True)
+        return (nodes, counts.astype(np.float64), None, 0), (
+            None, np.array([len(nodes)]))
+    nodes, deg, ranks, n = state
+    if r == 1:
+        n = int(sum(int(m[0][0]) for m in inbox))
+        ranks = np.full(len(nodes), 1.0 / n)
+    else:
+        incoming = np.zeros(len(nodes))
+        for ids, mass in inbox:
+            incoming[np.searchsorted(nodes, ids)] += mass
+        ranks = (1.0 - d) / n + d * incoming
+    if r > iters:
+        return (nodes, deg, ranks, n), None
+    # every source row in node_s is present in nodes (built from it)
+    per_edge = (ranks / deg)[np.searchsorted(nodes, node_s)]
+    u_dst, inv = np.unique(dst_s, return_inverse=True)
+    mass = np.zeros(len(u_dst))
+    np.add.at(mass, inv, per_edge)
+    return (nodes, deg, ranks, n), (u_dst, mass)
 
-    @ray.remote(num_cpus=1)
-    def scatter(part_id: int, frontier: pa.Table):
-        """frontier (node) -> candidate dsts split by dst partition."""
-        if part_id not in files_of or frontier.num_rows == 0:
-            return [pa.table({"node": pa.array([], node_type)})] * n_parts
-        node_s, dst_s = _edge_csr(edge_dir, part_id, files_of[part_id])
-        f = np.unique(frontier.column("node").to_pandas().to_numpy())
-        lo = np.searchsorted(node_s, f, side="left")
-        hi = np.searchsorted(node_s, f, side="right")
-        counts = hi - lo
-        total = int(counts.sum())
-        if total == 0:
-            return [pa.table({"node": pa.array([], node_type)})] * n_parts
-        starts = np.repeat(lo, counts)
-        offs = np.arange(total) - np.repeat(
-            np.cumsum(counts) - counts, counts)
-        cand = np.unique(dst_s[starts + offs])
-        part = part_of(cand)
-        out = []
-        for q in range(n_parts):
-            sel = cand[part == q]
-            out.append(pa.table({"node": pa.array(sel.tolist(),
-                                                  type=node_type)}))
-        return out
 
-    @ray.remote(num_cpus=1, num_returns=3)
-    def gather(labels: pa.Table, d: int, *cands: pa.Table):
-        """merge round-d candidates into this partition's labels; BFS
-        first-arrival is minimal, so the merge is a set difference."""
-        import pandas as _pd
+def _pagerank_rows(state, node_type) -> pa.Table:
+    nodes, _deg, ranks, _n = state
+    return pa.table({
+        "node": pa.array(nodes.tolist(), type=node_type),
+        "rank_e9": pa.array(np.floor(ranks * 1e9 + 0.5).astype(np.int64),
+                            pa.int64())})
 
-        cat = pa.concat_tables(list(cands))
-        if cat.num_rows == 0:
-            return labels, empty_labels, 0
-        c = _pd.unique(cat.column("node").to_pandas())
-        have = labels.column("node").to_pandas()
-        new = c[~_pd.Series(c).isin(have).to_numpy()]
-        if len(new) == 0:
-            return labels, empty_labels, 0
-        add = pa.table({"node": pa.array(list(new), type=node_type),
-                        "dist": pa.array([d] * len(new), pa.int64())})
-        return pa.concat_tables([labels, add]), add, len(new)
 
-    # seed: sources at dist 0, split by partition
-    src = list(dict.fromkeys(sources))
-    spart = part_of(src)
-    labels_ref, frontier_ref, fsize = {}, {}, {}
-    for q in range(n_parts):
-        mine = [s for s, p in zip(src, spart) if p == q]
-        t = pa.table({"node": pa.array(mine, type=node_type),
-                      "dist": pa.array([0] * len(mine), pa.int64())})
-        labels_ref[q] = ray.put(t)
-        frontier_ref[q] = ray.put(t)
-        fsize[q] = len(mine)
+def pagerank(
+    edges: "ray.data.Dataset",
+    a_col: str,
+    b_col: str,
+    damping: float = 0.85,
+    iters: int = 10,
+    num_partitions: Optional[int] = None,
+) -> "ray.data.Dataset":
+    """PageRank over an UNDIRECTED edge list (edges symmetrized, so every
+    node has degree >= 1 — no dangling-mass term). Fixed ``iters``
+    rounds; output (node, rank_e9) with ranks floor-scaled to 1e-9 so
+    results hash-compare against the single-process mirror (the
+    distributed path agrees to the last e9 digit +/- 1 ulp-of-rounding —
+    float sums associate differently across partitions).
 
-    for d in range(1, max_depth + 1):
-        active = [q for q in range(n_parts) if fsize[q] > 0]
-        if not active:
+    Small graphs (<= the exchange's SMALL_ROWS) solve in ONE numpy task.
+    The large path runs ``_pagerank_step`` on the superstep core with
+    edges pinned by INSTANCE (dedup=False — mass flows once per edge,
+    self-loops included): each round ships only per-destination mass
+    contributions pre-summed by dst inside the sender."""
+    sym, ntype, n_parts = _prepare(edges, a_col, b_col, distinct=False,
+                                   num_partitions=num_partitions,
+                                   small_rows=SMALL_ROWS)
+    if sym is None:
+        return _empty(node=ntype, rank_e9=pa.int64())
+    if n_parts is None:
+        return _single(sym, lambda t: _pagerank_single(t, damping, iters))
+    return _supersteps(sym, ntype, n_parts,
+                       partial(_pagerank_step, d=damping, iters=iters),
+                       partial(_pagerank_rows, node_type=ntype), iters + 1,
+                       name="pr", dedup=False)
+
+
+# ---------------------------------------------------------------------------
+# k-core
+# ---------------------------------------------------------------------------
+
+def _kcore_single(t: pa.Table, k: int) -> pa.Table:
+    """Single-task exact k-core peel over one DISTINCT symmetrized
+    (node, dst) edge table — the small-graph shortcut (the distributed
+    path must produce the identical (node, deg) set)."""
+    node_type = t.schema.field("node").type
+    a = t.column("node").to_pandas().to_numpy()
+    b = t.column("dst").to_pandas().to_numpy()
+    nodes, inv_a = np.unique(a, return_inverse=True)
+    inv_b = np.searchsorted(nodes, b)
+    alive_edge = np.ones(len(a), dtype=bool)
+    while True:
+        deg = np.bincount(inv_a[alive_edge], minlength=len(nodes))
+        alive_node = deg >= k
+        drop = alive_edge & (~alive_node[inv_a] | ~alive_node[inv_b])
+        if not drop.any():
             break
-        scat = {q: scatter.options(num_returns=n_parts).remote(
-            q, frontier_ref[q]) for q in active}
-        for q in range(n_parts):
-            cand_refs = [scat[p][q] for p in active]
-            labels_ref[q], frontier_ref[q], nref = gather.remote(
-                labels_ref[q], d, *cand_refs)
-            fsize[q] = nref
-        fsize = {q: ray.get(r) for q, r in fsize.items()}
+        alive_edge &= ~drop
+    deg = np.bincount(inv_a[alive_edge], minlength=len(nodes))
+    keep = deg >= k
+    return pa.table({
+        "node": pa.array(nodes[keep].tolist(), type=node_type),
+        "deg": pa.array(deg[keep].astype(np.int64), pa.int64())})
 
-    release_spill_dir(edge_dir, eager_cleanup)
-    return ray.data.from_arrow_refs(
-        [labels_ref[q] for q in range(n_parts)])
+
+def _kcore_step(csr, state, inbox, r, *, k: int):
+    """State (nodes, deg, alive): apply incoming death notifications (one
+    bincount decrement), peel local nodes that fell below k, and notify
+    each victim's neighbors. Every edge carries at most one message per
+    direction over the WHOLE run, so total traffic is O(E) regardless of
+    peel depth."""
+    node_s, dst_s = csr
+    if r == 0:
+        nodes, counts = np.unique(node_s, return_counts=True)
+        deg = counts.astype(np.int64)
+        alive = np.ones(len(nodes), dtype=bool)
+    else:
+        nodes, deg, alive = state
+        (ids,) = _cat(inbox, 1)
+        deg = deg - np.bincount(np.searchsorted(nodes, ids),
+                                minlength=len(nodes))
+    dying = alive & (deg < k)
+    idx, _ = _out_edges(node_s, nodes[dying])
+    return (nodes, deg, alive & ~dying), (dst_s[idx],)
+
+
+def _kcore_rows(state, node_type) -> pa.Table:
+    nodes, deg, alive = state
+    return pa.table({"node": pa.array(nodes[alive].tolist(), type=node_type),
+                     "deg": pa.array(deg[alive], pa.int64())})
+
+
+def k_core(
+    edges: "ray.data.Dataset",
+    a_col: str,
+    b_col: str,
+    k: int,
+    max_iters: int = 100,
+    num_partitions: Optional[int] = None,
+) -> "ray.data.Dataset":
+    """k-core decomposition: (a, b) undirected edge list -> (node, deg)
+    for every node of the maximal subgraph in which all degrees are >= k
+    (deg = the node's degree WITHIN the core). Degree counts distinct
+    neighbors; duplicate pairs and self-loops are ignored.
+
+    Algorithm: iterative peeling. Small edge lists (<= CC_SMALL_EDGES)
+    peel in a single numpy task; above, ``_kcore_step`` runs on the
+    superstep core, one peel level per round (web-ish graphs: a
+    handful). Stopping after ``max_iters`` rounds with death
+    notifications pending warns: the survivors are then a superset of
+    the true k-core."""
+    sym, ntype, n_parts = _prepare(edges, a_col, b_col, distinct=True,
+                                   num_partitions=num_partitions)
+    if sym is None:
+        return _empty(node=ntype, deg=pa.int64())
+    if n_parts is None:
+        return _single(sym, lambda t: _kcore_single(t, k))
+    return _supersteps(sym, ntype, n_parts, partial(_kcore_step, k=k),
+                       partial(_kcore_rows, node_type=ntype), max_iters,
+                       name="kcore")
+
+
+# ---------------------------------------------------------------------------
+# BFS shortest-path distances
+# ---------------------------------------------------------------------------
+
+def _bfs_single(t: pa.Table, sources, max_depth: int) -> pa.Table:
+    """Single-task exact BFS over one symmetrized (node, dst) edge table
+    — the small-graph shortcut (the distributed path must match it).
+    ``sources`` must be distinct."""
+    node_type = t.schema.field("node").type
+    a = t.column("node").to_pandas().to_numpy()
+    b = t.column("dst").to_pandas().to_numpy()
+    nodes, inv_a = np.unique(a, return_inverse=True)
+    inv_b = np.searchsorted(nodes, b)
+    n = len(nodes)
+    dist = np.full(n, -1, dtype=np.int64)
+    # sources absent from the edge list are isolated — emitted at dist 0
+    # below (contract: every source appears, unreachable non-sources
+    # don't)
+    src_idx = np.asarray(
+        [i for i, s in zip(np.searchsorted(nodes, sources), sources)
+         if i < n and nodes[i] == s], dtype=np.int64)
+    isolated = [s for i, s in zip(np.searchsorted(nodes, sources), sources)
+                if not (i < n and nodes[i] == s)]
+    dist[src_idx] = 0
+    frontier = src_idx
+    d = 0
+    while len(frontier) and d < max_depth:
+        d += 1
+        on_frontier = np.zeros(n, dtype=bool)
+        on_frontier[frontier] = True
+        nxt = np.unique(inv_b[on_frontier[inv_a]])
+        nxt = nxt[dist[nxt] < 0]
+        dist[nxt] = d
+        frontier = nxt
+    keep = dist >= 0
+    return pa.table({
+        "node": pa.array(nodes[keep].tolist() + isolated, type=node_type),
+        "dist": pa.array(list(dist[keep]) + [0] * len(isolated),
+                         pa.int64())})
+
+
+def _bfs_step(csr, state, inbox, r, *, max_depth: int):
+    """State (nodes, dist): round r's inbox holds the candidates at
+    distance r (round 0: the sources). BFS first arrival is minimal, so
+    the merge is a set difference; the newly labeled nodes are the
+    frontier, expanded while r < max_depth."""
+    node_s, dst_s = csr
+    (arrived,) = _cat(inbox, 1)
+    have, dist = state if r else (arrived[:0], np.empty(0, np.int64))
+    new = pd.unique(arrived)
+    new = new[~pd.Series(new).isin(have).to_numpy()]
+    state = (np.concatenate([have, new]),
+             np.concatenate([dist, np.full(len(new), r, np.int64)]))
+    if r == max_depth:
+        return state, None
+    idx, _ = _out_edges(node_s, new)
+    return state, (np.unique(dst_s[idx]),)
+
+
+def _bfs_rows(state, node_type) -> pa.Table:
+    nodes, dist = state
+    return pa.table({"node": pa.array(nodes.tolist(), type=node_type),
+                     "dist": pa.array(dist, pa.int64())})
+
+
+def bfs_distances(
+    edges: "ray.data.Dataset",
+    a_col: str,
+    b_col: str,
+    sources,
+    max_depth: int = 25,
+    num_partitions: Optional[int] = None,
+) -> "ray.data.Dataset":
+    """Unweighted shortest-path distances from ``sources`` over an
+    undirected edge list -> (node, dist), dist in [0, max_depth];
+    unreachable nodes don't appear. Every distinct source appears once,
+    at dist 0, also on an empty edge list.
+
+    Distinct from connected_components: labels are DISTANCES, so pointer
+    jumping does not apply — rounds = source eccentricity. A naive
+    join-per-round re-ships the WHOLE edge set every round (measured
+    121 s for 7 rounds on a 5M-node tree); above the small cutoff
+    ``_bfs_step`` runs on the superstep core instead, and each round
+    ships only candidate nodes — per-round cost is O(frontier + its
+    adjacency), not O(E + V). Small edge lists solve in a single numpy
+    task.
+
+    Multi-node note: the edge spill obeys CEE_SPILL_ROOT like the
+    exchange (node-local tempdir otherwise — single-filesystem
+    assumption); candidate messages move through the object store."""
+    sources = list(dict.fromkeys(sources))
+    sym, ntype, n_parts = _prepare(edges, a_col, b_col, distinct=False,
+                                   num_partitions=num_partitions)
+    if sym is None:
+        return ray.data.from_arrow(pa.table({
+            "node": pa.array(sources, ntype),
+            "dist": pa.array([0] * len(sources), pa.int64())}))
+    if n_parts is None:
+        return _single(sym, lambda t: _bfs_single(t, sources, max_depth))
+    seed = (pa.array(sources, ntype).to_pandas().to_numpy(),)
+    return _supersteps(sym, ntype, n_parts,
+                       partial(_bfs_step, max_depth=max_depth),
+                       partial(_bfs_rows, node_type=ntype), max_depth,
+                       name="bfs", seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -757,12 +710,10 @@ def _walk_choice(walk_ids, step: int, seed: int) -> "np.ndarray":
 
 
 def _walks_single(t: pa.Table, walk_len: int, seed: int) -> pa.Table:
-    """Single-task mirror over one deduped symmetrized (node, dst) edge
+    """Single-task mirror over one distinct symmetrized (node, dst) edge
     table: one walk per node, rows (walk_id, step, node)."""
-    import numpy as np
-
     node_type = t.schema.field("node").type
-    df = t.select(["node", "dst"]).to_pandas().drop_duplicates()
+    df = t.select(["node", "dst"]).to_pandas()
     df = df.sort_values(["node", "dst"], kind="mergesort")
     node_s = df["node"].to_numpy()
     dst_s = df["dst"].to_numpy()
@@ -785,6 +736,33 @@ def _walks_single(t: pa.Table, walk_len: int, seed: int) -> pa.Table:
         "node": pa.array(np.concatenate(out_n).tolist(), type=node_type)})
 
 
+def _walk_step(csr, trace, inbox, r, *, walk_len: int, seed: int):
+    """Walkers are (next node, walk_id) messages: record the arriving
+    walkers at this partition's nodes (round 0: one walker per node),
+    hop each to a hashed neighbor, and ship it onward. The trace of
+    (walk_id, step, node) arrays is the state."""
+    node_s, dst_s = csr
+    if r == 0:
+        cur = w = np.unique(node_s)
+        trace = ()
+    else:
+        cur, w = _cat(inbox, 2)
+    trace = trace + ((w, np.full(len(w), r, np.int64), cur),)
+    if r == walk_len:
+        return trace, None
+    lo = np.searchsorted(node_s, cur, side="left")
+    deg = (np.searchsorted(node_s, cur, side="right") - lo).astype(np.uint64)
+    h = _walk_choice(w, r + 1, seed)
+    return trace, (dst_s[lo + (h % deg).astype(np.int64)], w)
+
+
+def _walk_rows(trace, node_type) -> pa.Table:
+    w, s, n = (np.concatenate([t[i] for t in trace]) for i in range(3))
+    return pa.table({"walk_id": pa.array(w.tolist(), type=node_type),
+                     "step": pa.array(s, pa.int64()),
+                     "node": pa.array(n.tolist(), type=node_type)})
+
+
 def random_walks(
     edges: "ray.data.Dataset",
     a_col: str,
@@ -801,269 +779,20 @@ def random_walks(
     independent of partitioning AND re-runnable (same seed -> same
     corpus, the resume property every sampling stage here keeps).
 
-    Large path = the Pregel skeleton: edges pinned once, walkers are
-    (walk_id, cur) messages, each position row is recorded IN the
-    partition where that node lives — total traffic O(walks x length),
-    no assembly shuffle (the row form is already complete)."""
-    import numpy as np
-
-    sym = _sym_local_distinct(edges, a_col, b_col).materialize()
-    sch = sym.schema()
-    n_edges = sym.count() if sch is not None else 0
-    if sch is None or n_edges == 0:
-        ntype = _schema_col_type(edges.schema(), a_col)
-        return ray.data.from_arrow(pa.table({
-            "walk_id": pa.array([], ntype),
-            "step": pa.array([], pa.int64()),
-            "node": pa.array([], ntype)}))
-    node_type = sch.types[0]
-
-    if num_partitions is None and n_edges <= CC_SMALL_EDGES:
-        return (sym.repartition(1)
-                .map_batches(lambda t: _walks_single(t, walk_len, seed),
-                             batch_size=None, batch_format="pyarrow"))
-
-    n_parts = (int(num_partitions) if num_partitions
-               else max(8, n_edges // 500_000))
-    edge_dir, files_of, eager_cleanup = _pin_edges(
-        sym, n_parts, "cee_walk_edges_")
-    parts = sorted(files_of)
-
-    part_of = partial(_part_of, node_type=node_type, n_parts=n_parts)
-
-    @ray.remote(num_cpus=1)
-    def step_task(part_id: int, trace, step: int, *walkers):
-        """Record arriving walkers at this partition's nodes, hop them
-        to a hashed neighbor, and ship (walk_id, next) onward."""
-        node_s, dst_s = _edge_csr(edge_dir, part_id, files_of[part_id])
-        if step == 0:
-            nodes = np.unique(node_s)
-            w, cur = nodes, nodes
-        else:
-            w = np.concatenate([m[0] for m in walkers])
-            cur = np.concatenate([m[1] for m in walkers])
-        tw, ts, tn = trace if trace is not None else ([], [], [])
-        tw = list(tw) + [w]
-        ts = list(ts) + [np.full(len(w), step, np.int64)]
-        tn = list(tn) + [cur]
-        out = [(w[:0], cur[:0])] * n_parts
-        if step < walk_len and len(w):
-            idx = np.searchsorted(node_s, cur, side="left")
-            hi = np.searchsorted(node_s, cur, side="right")
-            deg = (hi - idx).astype(np.uint64)
-            h = _walk_choice(w, step + 1, seed)
-            nxt = dst_s[idx + (h % deg).astype(np.int64)]
-            dest = part_of(nxt)
-            out = [(w[dest == q], nxt[dest == q]) for q in range(n_parts)]
-        return ((tw, ts, tn), *out)
-
-    @ray.remote(num_cpus=1)
-    def finalize(trace):
-        tw, ts, tn = trace
-        return pa.table({
-            "walk_id": pa.array(np.concatenate(tw).tolist(),
-                                type=node_type),
-            "step": pa.array(np.concatenate(ts), pa.int64()),
-            "node": pa.array(np.concatenate(tn).tolist(), type=node_type)})
-
-    trace_ref = {p: None for p in parts}
-    walker_refs = {p: [] for p in parts}
-    for step in range(walk_len + 1):
-        rets = {}
-        for p in parts:
-            if step > 0 and not walker_refs[p]:
-                continue
-            rets[p] = step_task.options(num_returns=1 + n_parts).remote(
-                p, trace_ref[p], step, *walker_refs[p])
-            trace_ref[p] = rets[p][0]
-        walker_refs = {p: [] for p in parts}
-        for p, r in rets.items():
-            for q in parts:
-                walker_refs[q].append(r[1 + q])
-    out_refs = [finalize.remote(trace_ref[p]) for p in parts
-                if trace_ref[p] is not None]
-    ray.wait(out_refs, num_returns=len(out_refs))
-    release_spill_dir(edge_dir, eager_cleanup)
-    return ray.data.from_arrow_refs(out_refs)
-
-
-# ---------------------------------------------------------------------------
-# Pregel connected components (min-label + message-based pointer jumping)
-# ---------------------------------------------------------------------------
-
-def _grouped_min_arrays(keys, vals):
-    """(keys, grouped-min vals) via one sort + minimum.reduceat — the
-    per-round combiner of the Pregel CC loop (pandas groupby.min
-    measured ~2-3x slower at 20M rows/round on the ring worst case)."""
-    import numpy as np
-
-    order = np.argsort(keys, kind="stable")
-    k, v = keys[order], vals[order]
-    bounds = np.empty(len(k), dtype=bool)
-    bounds[0] = True
-    bounds[1:] = k[1:] != k[:-1]
-    starts = np.nonzero(bounds)[0]
-    try:
-        best = np.minimum.reduceat(v, starts)
-    except TypeError:   # object dtype without a reduceat fast path
-        best = np.array([v[s0:s1].min() for s0, s1 in
-                         zip(starts, list(starts[1:]) + [len(v)])],
-                        dtype=object)
-    return k[bounds], best
-
-
-def _cc_pregel(sym, node_type, n_parts: int, max_iters: int):
-    """Distributed connected components on the pinned-edge Pregel
-    skeleton. Each round has two phases:
-
-      propagate — frontier nodes (label changed last round) push their
-        label across their edges; per-destination candidates are
-        MIN-combined inside the sender before shipping.
-      jump — pointer jumping as messages: every node with label != node
-        asks partition(label) for label(label) (request), the owner
-        replies, the asker takes the min. Chains collapse in
-        O(log diameter) rounds — WITHOUT this, a path graph needs
-        diameter rounds (a 10M-node ring would need 5M).
-
-    Per-round traffic: O(frontier adjacency) for propagation +
-    O(non-root nodes) for jumps; the edge set never moves after the
-    pin. Terminates when a round changes no label."""
-    import numpy as np
-
-    edge_dir, files_of, eager_cleanup = _pin_edges(
-        sym, n_parts, "cee_cc_edges_")
-    parts = sorted(files_of)
-
-    part_of = partial(_part_of, node_type=node_type, n_parts=n_parts)
-
-    def _empty_pair():
-        e = np.empty(0, dtype=object)
-        return (e, e)
-
-    @ray.remote(num_cpus=1)
-    def init(part_id: int):
-        node_s, _ = _edge_csr(edge_dir, part_id, files_of[part_id])
-        nodes = np.unique(node_s)
-        return (nodes, nodes.copy()), nodes
-
-    @ray.remote(num_cpus=1)
-    def propagate(part_id: int, state, frontier):
-        """frontier labels -> (dst, label) candidates, min-combined per
-        dst, split by dst partition."""
-        nodes, label = state
-        node_s, dst_s = _edge_csr(edge_dir, part_id, files_of[part_id])
-        f = frontier
-        lo = np.searchsorted(node_s, f, side="left")
-        hi = np.searchsorted(node_s, f, side="right")
-        cnt = hi - lo
-        total = int(cnt.sum())
-        if total == 0:
-            return [_empty_pair()] * n_parts
-        starts = np.repeat(lo, cnt)
-        offs = np.arange(total) - np.repeat(np.cumsum(cnt) - cnt, cnt)
-        dsts = dst_s[starts + offs]
-        labs = label[np.searchsorted(nodes, f)]
-        labs = np.repeat(labs, cnt)
-        if len(dsts) == 0:
-            return [_empty_pair()] * n_parts
-        u, bl = _grouped_min_arrays(dsts, labs)
-        dest = part_of(u)
-        return [(u[dest == q], bl[dest == q]) for q in range(n_parts)]
-
-    @ray.remote(num_cpus=1)
-    def apply_and_request(part_id: int, state, *cands):
-        """merge label candidates; emit jump requests for every node
-        whose label is not itself."""
-        nodes, label = state
-        label = label.copy()
-        changed = np.zeros(len(nodes), dtype=bool)
-        for ids, labs in cands:
-            if len(ids):
-                idx = np.searchsorted(nodes, ids)
-                better = labs < label[idx]
-                if better.any():
-                    label[idx[better]] = labs[better]
-                    changed[idx[better]] = True
-        non_root = label != nodes
-        req_n, req_t = nodes[non_root], label[non_root]
-        dest = part_of(req_t)
-        out = [(req_n[dest == q], req_t[dest == q]) for q in range(n_parts)]
-        return ((nodes, label), nodes[changed], *out)
-
-    @ray.remote(num_cpus=1)
-    def serve(part_id: int, state, *reqs):
-        """answer label(target) for incoming (requester, target) pairs,
-        replies split by the requester's partition."""
-        nodes, label = state
-        if not reqs:
-            return [_empty_pair()] * n_parts
-        rn = np.concatenate([r[0] for r in reqs])
-        rt = np.concatenate([r[1] for r in reqs])
-        if len(rn) == 0:
-            return [_empty_pair()] * n_parts
-        idx = np.searchsorted(nodes, rt)
-        # a target is always a real node id (labels are node ids)
-        ans = label[idx]
-        dest = part_of(rn)
-        return [(rn[dest == q], ans[dest == q]) for q in range(n_parts)]
-
-    @ray.remote(num_cpus=1)
-    def apply_replies(part_id: int, state, changed1, *replies):
-        nodes, label = state
-        label = label.copy()
-        changed = np.zeros(len(nodes), dtype=bool)
-        if len(changed1):
-            changed[np.searchsorted(nodes, changed1)] = True
-        for ids, labs in replies:
-            if len(ids):
-                idx = np.searchsorted(nodes, ids)
-                better = labs < label[idx]
-                if better.any():
-                    label[idx[better]] = labs[better]
-                    changed[idx[better]] = True
-        return (nodes, label), nodes[changed], int(changed.sum())
-
-    @ray.remote(num_cpus=1)
-    def finalize(state):
-        nodes, label = state
-        return pa.table({
-            "node": pa.array(nodes.tolist(), type=node_type),
-            "cluster": pa.array(label.tolist(), type=node_type)})
-
-    state_ref, frontier_ref, fsize = {}, {}, {}
-    for p in parts:
-        r = init.options(num_returns=2).remote(p)
-        state_ref[p], frontier_ref[p] = r[0], r[1]
-        fsize[p] = 1  # all nodes start as frontier
-
-    for _ in range(max_iters):
-        active = [p for p in parts if fsize[p]]
-        if not active:
-            break
-        prop = {p: propagate.options(num_returns=n_parts).remote(
-            p, state_ref[p], frontier_ref[p]) for p in active}
-        ch1_ref, req_refs = {}, {}
-        for p in parts:
-            cands = [prop[q][p] for q in active]
-            rets = apply_and_request.options(
-                num_returns=2 + n_parts).remote(p, state_ref[p], *cands)
-            state_ref[p], ch1_ref[p] = rets[0], rets[1]
-            req_refs[p] = rets[2:]
-        served = {p: serve.options(num_returns=n_parts).remote(
-            p, state_ref[p], *[req_refs[q][p] for q in parts])
-            for p in parts}
-        n_changed = {}
-        for p in parts:
-            replies = [served[q][p] for q in parts]
-            rets = apply_replies.options(num_returns=3).remote(
-                p, state_ref[p], ch1_ref[p], *replies)
-            state_ref[p], frontier_ref[p], n_changed[p] = rets
-        fsize = {p: ray.get(r) for p, r in n_changed.items()}
-
-    out_refs = [finalize.remote(state_ref[p]) for p in parts]
-    ray.wait(out_refs, num_returns=len(out_refs))
-    release_spill_dir(edge_dir, eager_cleanup)
-    return ray.data.from_arrow_refs(out_refs)
+    Large path = ``_walk_step`` on the superstep core: walkers are
+    messages, each position row is recorded IN the partition where that
+    node lives — total traffic O(walks x length), no assembly shuffle
+    (the row form is already complete)."""
+    sym, ntype, n_parts = _prepare(edges, a_col, b_col, distinct=True,
+                                   num_partitions=num_partitions)
+    if sym is None:
+        return _empty(walk_id=ntype, step=pa.int64(), node=ntype)
+    if n_parts is None:
+        return _single(sym, lambda t: _walks_single(t, walk_len, seed))
+    return _supersteps(sym, ntype, n_parts,
+                       partial(_walk_step, walk_len=walk_len, seed=seed),
+                       partial(_walk_rows, node_type=ntype), walk_len,
+                       name="walk")
 
 
 # ---------------------------------------------------------------------------
@@ -1074,8 +803,6 @@ def _lpa_pick(node_arr, label_arr, count_arr):
     """per-node winner: highest neighbor-label count, ties -> MIN label.
     Inputs are (node, label, count) triples (already summed per pair);
     returns (nodes, winning labels), nodes ascending."""
-    import numpy as np
-
     neg = count_arr.max() + 1 - count_arr  # ascending sort key for count
     order = np.lexsort((label_arr, neg, node_arr))
     n_s, l_s = node_arr[order], label_arr[order]
@@ -1086,13 +813,11 @@ def _lpa_pick(node_arr, label_arr, count_arr):
 
 
 def _lpa_single(t: pa.Table, iters: int) -> pa.Table:
-    """Single-task mirror: synchronous LPA over one deduped symmetrized
+    """Single-task mirror: synchronous LPA over one distinct symmetrized
     edge table, ``iters`` rounds, label(v) <- most frequent neighbor
     label with ties to the minimum. Deterministic by construction."""
-    import numpy as np
-
     node_type = t.schema.field("node").type
-    df = t.select(["node", "dst"]).to_pandas().drop_duplicates()
+    df = t.select(["node", "dst"]).to_pandas()
     df = df.sort_values(["node", "dst"], kind="mergesort")
     node_s = df["node"].to_numpy()
     dst_s = df["dst"].to_numpy()
@@ -1117,6 +842,36 @@ def _lpa_single(t: pa.Table, iters: int) -> pa.Table:
         "community": pa.array(label.tolist(), type=node_type)})
 
 
+def _lpa_step(csr, state, inbox, r, *, iters: int):
+    """State (nodes, label): fold the (dst, label, count) triples that
+    arrived into an argmax-with-min-tie per node, then (rounds
+    0..iters-1) send each node's label to its distinct neighbors,
+    pre-summed per (dst, label) inside the sender."""
+    node_s, dst_s = csr
+    if r == 0:
+        nodes = np.unique(node_s)
+        label = nodes.copy()
+    else:
+        nodes, label = state
+        ds_, ls, cs = _cat(inbox, 3)
+        if len(ds_):
+            cnt = (pd.DataFrame({"n": ds_, "l": ls, "c": cs})
+                   .groupby(["n", "l"], sort=False)["c"].sum()
+                   .reset_index())
+            win_n, win_l = _lpa_pick(cnt["n"].to_numpy(),
+                                     cnt["l"].to_numpy(),
+                                     cnt["c"].to_numpy())
+            label = label.copy()
+            label[np.searchsorted(nodes, win_n)] = win_l
+    if r == iters:
+        return (nodes, label), None
+    lab = label[np.searchsorted(nodes, node_s)]
+    cnt = (pd.DataFrame({"d": dst_s, "l": lab})
+           .groupby(["d", "l"], sort=False).size().reset_index(name="c"))
+    return (nodes, label), (cnt["d"].to_numpy(), cnt["l"].to_numpy(),
+                            cnt["c"].to_numpy().astype(np.int64))
+
+
 def label_propagation(
     edges: "ray.data.Dataset",
     a_col: str,
@@ -1129,93 +884,14 @@ def label_propagation(
     DISTINCT neighbors, ties broken to the minimum label — fully
     deterministic and partitioning-invariant (classic async LPA is
     neither), so the result is oracle-replayable like every operator
-    here. Output (node, community).
-
-    Large path = the Pregel skeleton: pinned deduped CSR partitions;
-    each round a partition ships (dst, label, count) triples pre-summed
-    per (dst, label) inside the sender, and the receive side folds an
-    argmax-with-min-tie per node."""
-    import numpy as np
-
-    sym = _sym_local_distinct(edges, a_col, b_col).materialize()
-    sch = sym.schema()
-    n_edges = sym.count() if sch is not None else 0
-    if sch is None or n_edges == 0:
-        ntype = _schema_col_type(edges.schema(), a_col)
-        return ray.data.from_arrow(pa.table({
-            "node": pa.array([], ntype), "community": pa.array([], ntype)}))
-    node_type = sch.types[0]
-
-    if num_partitions is None and n_edges <= CC_SMALL_EDGES:
-        def dedup_lpa(t: pa.Table) -> pa.Table:
-            df = t.to_pandas().drop_duplicates()
-            return _lpa_single(
-                pa.Table.from_pandas(df, preserve_index=False), iters)
-
-        return (sym.repartition(1)
-                .map_batches(dedup_lpa, batch_size=None,
-                             batch_format="pyarrow"))
-
-    n_parts = (int(num_partitions) if num_partitions
-               else max(8, n_edges // 500_000))
-    edge_dir, files_of, eager_cleanup = _pin_edges(
-        sym, n_parts, "cee_lpa_edges_")
-    parts = sorted(files_of)
-
-    part_of = partial(_part_of, node_type=node_type, n_parts=n_parts)
-
-    @ray.remote(num_cpus=1)
-    def init(part_id: int):
-        node_s, _ = _edge_csr(edge_dir, part_id, files_of[part_id])
-        nodes = np.unique(node_s)
-        return (nodes, nodes.copy())
-
-    @ray.remote(num_cpus=1)
-    def scatter(part_id: int, state):
-        nodes, label = state
-        node_s, dst_s = _edge_csr(edge_dir, part_id, files_of[part_id])
-        lab = label[np.searchsorted(nodes, node_s)]
-        cnt = (pd.DataFrame({"d": dst_s, "l": lab})
-               .groupby(["d", "l"], sort=False).size().reset_index(
-                   name="c"))
-        d = cnt["d"].to_numpy()
-        l_ = cnt["l"].to_numpy()
-        c = cnt["c"].to_numpy().astype(np.int64)
-        dest = part_of(d)
-        return [(d[dest == q], l_[dest == q], c[dest == q])
-                for q in range(n_parts)]
-
-    @ray.remote(num_cpus=1)
-    def gather(state, *msgs):
-        nodes, label = state
-        ds_ = np.concatenate([m[0] for m in msgs])
-        ls = np.concatenate([m[1] for m in msgs])
-        cs = np.concatenate([m[2] for m in msgs])
-        if len(ds_) == 0:
-            return (nodes, label)
-        cnt = (pd.DataFrame({"n": ds_, "l": ls, "c": cs})
-               .groupby(["n", "l"], sort=False)["c"].sum().reset_index())
-        win_n, win_l = _lpa_pick(cnt["n"].to_numpy(),
-                                 cnt["l"].to_numpy(),
-                                 cnt["c"].to_numpy())
-        new_label = label.copy()
-        new_label[np.searchsorted(nodes, win_n)] = win_l
-        return (nodes, new_label)
-
-    @ray.remote(num_cpus=1)
-    def finalize(state):
-        nodes, label = state
-        return pa.table({
-            "node": pa.array(nodes.tolist(), type=node_type),
-            "community": pa.array(label.tolist(), type=node_type)})
-
-    state_ref = {p: init.remote(p) for p in parts}
-    for _ in range(iters):
-        scat = {p: scatter.options(num_returns=n_parts).remote(
-            p, state_ref[p]) for p in parts}
-        state_ref = {p: gather.remote(
-            state_ref[p], *[scat[q][p] for q in parts]) for p in parts}
-    out_refs = [finalize.remote(state_ref[p]) for p in parts]
-    ray.wait(out_refs, num_returns=len(out_refs))
-    release_spill_dir(edge_dir, eager_cleanup)
-    return ray.data.from_arrow_refs(out_refs)
+    here. Output (node, community). Large path = ``_lpa_step`` on the
+    superstep core."""
+    sym, ntype, n_parts = _prepare(edges, a_col, b_col, distinct=True,
+                                   num_partitions=num_partitions)
+    if sym is None:
+        return _empty(node=ntype, community=ntype)
+    if n_parts is None:
+        return _single(sym, lambda t: _lpa_single(t, iters))
+    return _supersteps(sym, ntype, n_parts, partial(_lpa_step, iters=iters),
+                       partial(_label_rows, node_type=ntype,
+                               col="community"), iters, name="lpa")

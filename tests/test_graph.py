@@ -1,4 +1,8 @@
-"""stages/graph.py — distributed connected components vs union-find."""
+"""stages/graph.py — the six graph algorithms: single-task mirrors vs the
+superstep core, against independent references."""
+
+import ast
+import pathlib
 
 import numpy as np
 import pandas as pd
@@ -77,7 +81,7 @@ class TestConnectedComponents:
 
 class TestPageRank:
     def test_iterative_matches_single_task(self, ray_session):
-        """The distributed join-per-round path must agree with the
+        """The partitioned superstep path must agree with the
         single-task kernel (±1 on the 1e-9-scaled ranks: float sums
         accumulate in different orders across partitions)."""
         import ray
@@ -373,3 +377,129 @@ class TestLabelPropagation:
                                  num_partitions=2).to_pandas()
         for df in (got, got2):
             assert dict(zip(df["node"], df["community"])) == label
+
+
+# A triangle plus one separate edge: small enough that num_partitions=16
+# leaves most partitions without an edge (they still hold state, and BFS
+# sources can hash there).
+_TINY = [(1, 2), (2, 3), (3, 1), (10, 11)]
+
+
+def _walks_replay(edges, walk_len, seed):
+    """Dict-adjacency walk replay over the shared choice stream."""
+    import collections
+
+    from calendar_event_entity_extraction_ray.stages.graph import (
+        _walk_choice,
+    )
+
+    adj = collections.defaultdict(set)
+    for a, b in edges:
+        adj[a].add(b)
+        adj[b].add(a)
+    neigh = {u: sorted(vs) for u, vs in adj.items()}
+    walk_ids = np.array(sorted(neigh), dtype=np.int64)
+    cur, rows = walk_ids.copy(), []
+    rows += [(w, 0, w) for w in walk_ids]
+    for step in range(1, walk_len + 1):
+        h = _walk_choice(walk_ids, step, seed)
+        cur = np.array([neigh[c][int(hv % np.uint64(len(neigh[c])))]
+                        for c, hv in zip(cur, h)], dtype=np.int64)
+        rows += [(w, step, c) for w, c in zip(walk_ids, cur)]
+    return rows
+
+
+# algorithm -> (call, expected rows; None = the independent walk replay)
+_ALGOS = {
+    "cc": (lambda G, ds, np_: G.connected_components(
+        ds, "a", "b", num_partitions=np_),
+        [(1, 1), (2, 1), (3, 1), (10, 10), (11, 10)]),
+    "pagerank": (lambda G, ds, np_: G.pagerank(
+        ds, "a", "b", num_partitions=np_),
+        # each component keeps its teleport share: every rank stays 1/5
+        [(n, 200_000_000) for n in (1, 2, 3, 10, 11)]),
+    "k_core": (lambda G, ds, np_: G.k_core(
+        ds, "a", "b", 2, num_partitions=np_),
+        [(1, 2), (2, 2), (3, 2)]),
+    "bfs": (lambda G, ds, np_: G.bfs_distances(
+        ds, "a", "b", [1, 11, 99, 99], num_partitions=np_),
+        [(1, 0), (2, 1), (3, 1), (10, 1), (11, 0), (99, 0)]),
+    "walks": (lambda G, ds, np_: G.random_walks(
+        ds, "a", "b", walk_len=3, seed=4, num_partitions=np_), None),
+    "lpa": (lambda G, ds, np_: G.label_propagation(
+        ds, "a", "b", iters=4, num_partitions=np_),
+        [(1, 1), (2, 1), (3, 1), (10, 10), (11, 11)]),
+}
+
+
+class TestPathParity:
+    @pytest.mark.parametrize("num_partitions", [None, 2, 16])
+    @pytest.mark.parametrize("algo", sorted(_ALGOS))
+    def test_paths_agree_on_tiny_graph(self, ray_session, algo,
+                                       num_partitions):
+        import ray
+
+        from calendar_event_entity_extraction_ray.stages import graph as G
+
+        run, expect = _ALGOS[algo]
+        ds = ray.data.from_arrow(pa.table({
+            "a": pa.array([a for a, _ in _TINY], pa.int64()),
+            "b": pa.array([b for _, b in _TINY], pa.int64()),
+        })).repartition(2)
+        got = sorted(run(G, ds, num_partitions).to_pandas()
+                     .itertuples(index=False, name=None))
+        if expect is None:
+            expect = _walks_replay(_TINY, 3, 4)
+        expect = sorted(expect)
+        if algo == "pagerank":   # float sums associate per partition
+            assert [n for n, _ in got] == [n for n, _ in expect]
+            assert all(abs(g - e) <= 1 for (_, g), (_, e) in
+                       zip(got, expect))
+        else:
+            assert got == expect
+
+    @pytest.mark.parametrize("num_partitions", [None, 2])
+    @pytest.mark.parametrize("algo", sorted(_ALGOS))
+    def test_empty_edge_list_is_typed(self, ray_session, algo,
+                                      num_partitions):
+        """Every algorithm returns a typed empty table on no edges; BFS
+        returns its distinct sources at distance 0."""
+        import ray
+
+        from calendar_event_entity_extraction_ray.stages import graph as G
+
+        ds = ray.data.from_arrow(pa.table({
+            "a": pa.array([], pa.int64()), "b": pa.array([], pa.int64())}))
+        out = _ALGOS[algo][0](G, ds, num_partitions)
+        sch = out.schema()
+        assert sch is not None
+        assert sch.types[sch.names.index("node")] == pa.int64()
+        rows = out.to_pandas()
+        if algo == "bfs":
+            assert sorted(rows.itertuples(index=False, name=None)) == [
+                (1, 0), (11, 0), (99, 0)]
+        else:
+            assert len(rows) == 0
+
+
+def test_one_superstep_driver():
+    """graph.py keeps ONE superstep loop: at most two remote functions,
+    one spill release and one ray.wait."""
+    import calendar_event_entity_extraction_ray.stages.graph as G
+
+    tree = ast.parse(pathlib.Path(G.__file__).read_text())
+
+    def name(f):
+        while isinstance(f, ast.Call):
+            f = f.func
+        if isinstance(f, ast.Attribute):
+            base = f.value.id if isinstance(f.value, ast.Name) else ""
+            return f"{base}.{f.attr}"
+        return getattr(f, "id", "")
+
+    remote = [d for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)
+              for d in n.decorator_list if name(d) == "ray.remote"]
+    calls = [name(n) for n in ast.walk(tree) if isinstance(n, ast.Call)]
+    assert len(remote) <= 2
+    assert calls.count("release_spill_dir") == 1
+    assert calls.count("ray.wait") == 1

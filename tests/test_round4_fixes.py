@@ -50,38 +50,63 @@ class TestPatternZeroMatchKeys:
 
 
 class TestKcoreExhaustionWarning:
-    def test_warns_on_iteration_exhaustion(self, ray_session, caplog):
-        """_kcore_pregel exiting via max_iters with pending death
-        notifications must warn (result is a superset of the true core).
-        A path graph peels one node per round, so max_iters=0 on a
-        4-node path with k=2 leaves undelivered notifications."""
+    """Stopping a halting graph algorithm at its round limit with messages
+    still pending must warn: the result is not the fixpoint."""
+
+    LOGGER = "calendar_event_entity_extraction_ray.stages.graph"
+
+    def _warned(self, caplog, fn):
         import logging
 
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger=self.LOGGER):
+            out = fn().to_pandas()
+        return out, any("not the fixpoint" in r.message
+                        for r in caplog.records)
+
+    def test_warns_on_iteration_exhaustion(self, ray_session, caplog):
+        """A path graph peels one node per round, so max_iters=0 on a
+        4-node path with k=2 leaves undelivered death notifications (the
+        survivors are a superset of the true core)."""
         import ray
 
-        from calendar_event_entity_extraction_ray.stages.graph import (
-            _kcore_pregel,
-            _sym_local_distinct,
-        )
+        from calendar_event_entity_extraction_ray.stages.graph import k_core
 
         edges = ray.data.from_arrow(pa.table({
             "a": pa.array([1, 2, 3], pa.int64()),
             "b": pa.array([2, 3, 4], pa.int64()),
         }))
-        sym = _sym_local_distinct(edges, "a", "b").materialize()
-        with caplog.at_level(
-                logging.WARNING,
-                logger="calendar_event_entity_extraction_ray.stages.graph"):
-            out = _kcore_pregel(sym, pa.int64(), 2, 0, 2).to_pandas()
-        assert any("superset" in r.message for r in caplog.records)
+        out, warned = self._warned(caplog, lambda: k_core(
+            edges, "a", "b", 2, max_iters=0, num_partitions=2))
+        assert warned and len(out) > 0
         # and the fixpoint run (enough rounds) is empty with no warning
-        caplog.clear()
-        with caplog.at_level(
-                logging.WARNING,
-                logger="calendar_event_entity_extraction_ray.stages.graph"):
-            full = _kcore_pregel(sym, pa.int64(), 2, 100, 2).to_pandas()
+        full, warned = self._warned(caplog, lambda: k_core(
+            edges, "a", "b", 2, num_partitions=2))
         assert len(full) == 0
-        assert not any("superset" in r.message for r in caplog.records)
+        assert not warned
+
+    def test_cc_warns_on_iteration_exhaustion(self, ray_session, caplog):
+        """A 17-node chain needs more than two CC iterations: stopping
+        early splits it (15 clusters after one, 11 after two) and warns."""
+        import ray
+
+        from calendar_event_entity_extraction_ray.stages.graph import (
+            connected_components,
+        )
+
+        n = 17
+        edges = ray.data.from_arrow(pa.table({
+            "a": pa.array(list(range(n - 1)), pa.int64()),
+            "b": pa.array(list(range(1, n)), pa.int64()),
+        }))
+        for iters, clusters in ((1, 15), (2, 11)):
+            out, warned = self._warned(caplog, lambda: connected_components(
+                edges, "a", "b", max_iters=iters, num_partitions=2))
+            assert warned
+            assert out["cluster"].nunique() == clusters
+        full, warned = self._warned(caplog, lambda: connected_components(
+            edges, "a", "b", num_partitions=2))
+        assert set(full["cluster"]) == {0} and not warned
 
 
 class TestIntHashParity:
