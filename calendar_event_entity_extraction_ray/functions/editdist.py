@@ -75,25 +75,6 @@ def dp_distance(a: str, b: str) -> int:
     return prev[len(b)]
 
 
-def char_bag_lower_bound(count_a: Dict[str, int],
-                         count_b: Dict[str, int]) -> int:
-    """Cheap necessary-condition prune: edit distance >=
-    max(surplus_a, surplus_b) where surplus_x = sum of character counts
-    x has beyond the other side — a substitution removes at most one
-    unit from EACH surplus, an insert/delete from one."""
-    surplus_a = 0
-    surplus_b = 0
-    for c, na in count_a.items():
-        d = na - count_b.get(c, 0)
-        if d > 0:
-            surplus_a += d
-    for c, nb in count_b.items():
-        d = nb - count_a.get(c, 0)
-        if d > 0:
-            surplus_b += d
-    return max(surplus_a, surplus_b)
-
-
 def deletion_variants(s: str, d: int) -> set:
     """The depth-``d`` deletion neighborhood of ``s``, INCLUDING ``s``
     itself (depth 0). SymSpell blocking invariant: if

@@ -219,7 +219,7 @@ def materialize_graph(
     completed partitions (and their spill+merge I/O). Upstream recompute is
     unavoidable under subject-hash partitioning (the subject is only known
     after extraction); INPUT-level resume is achieved by sharding the input
-    across jobs with per-shard fingerprints (scripts/run_job.py).
+    across jobs with per-shard fingerprints (scripts/job.py graph).
     """
     done = M.completed_partitions(out_dir, fingerprint)
     # spill next to the output (out_dir IS shared storage on a real
@@ -250,9 +250,9 @@ def materialize_graph(
     # per-partition checkpointing: record every completed merge as soon as
     # it lands (manifest saves are tiny driver-side JSON writes — the
     # partition count is bounded per shard, see the adaptive-partitioning
-    # note in run_job). A crash mid-loop leaves a valid manifest holding
-    # exactly the durable partitions; the re-run's ``done`` filter skips
-    # them and completes the rest.
+    # note in scripts/job_ops/kg.py). A crash mid-loop leaves a valid
+    # manifest holding exactly the durable partitions; the re-run's
+    # ``done`` filter skips them and completes the rest.
     while pending:
         ready, pending = ray.wait(pending, num_returns=1)
         done_now = ray.get(ready)

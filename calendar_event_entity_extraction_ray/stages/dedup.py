@@ -113,25 +113,6 @@ def add_hash_column(
         out_col, pa.array(hash64_columns(batch, cols), pa.int64()))
 
 
-def first_wins_in_bucket(
-    g: pa.Table, key_cols: List[str], order_col: str
-) -> pa.Table:
-    """Keep the first row (smallest order_col) per DISTINCT key tuple inside
-    one hash bucket. The bucket key is a 63-bit hash — at 10^12-row scale
-    birthday collisions are certain, so two different keys CAN share a
-    bucket; deduping on the hash alone would silently merge them. Exact key
-    comparison here keeps the operator correct at any scale."""
-    idx = pc.sort_indices(g, sort_keys=[(order_col, "ascending")])
-    g = g.take(idx)
-    seen = set()
-    keep = []
-    for i, k in enumerate(key_strings(g, key_cols)):
-        if k not in seen:
-            seen.add(k)
-            keep.append(i)
-    return g.take(keep)
-
-
 def first_wins_partition(
     t: pa.Table, key_cols: List[str], order_col: str
 ) -> pa.Table:

@@ -51,8 +51,8 @@ from calendar_event_entity_extraction_ray.state.manifest import (
 SMALL_ROWS = 100_000           # below this, one vectorized fold task wins
 TARGET_ROWS_PER_PARTITION = 100_000
 
-# Multi-node spill location. When set (env var or EngineConfig.spill_root
-# plumbed through scripts/run_job.py), every exchange creates a unique
+# Multi-node spill location. When set (env var, EngineConfig.spill_root or
+# `scripts/job.py graph --spill-root`), every exchange creates a unique
 # subdirectory under this root; point it at storage every node can read
 # (NFS / fuse-mounted object store) and phase-2 folds work across nodes.
 # Unset -> node-local tempdir, correct only while map and reduce tasks
@@ -63,7 +63,7 @@ SPILL_ROOT_ENV = "CEE_SPILL_ROOT"
 # right after ray.wait would break Ray lineage reconstruction — if a fold
 # output object is later lost to node failure, re-running fold needs the
 # files. The job driver calls cleanup_pending_spill() once outputs are
-# durably consumed (scripts/run_job.py does).
+# durably consumed (scripts/job.py does, after every op).
 _PENDING_SPILL_DIRS: List[str] = []
 
 

@@ -11,8 +11,8 @@ up to its small-input cutoff. Above it, one superstep core runs a
 per-partition ``step`` and ``finish`` per algorithm: ``_prepare``
 symmetrizes and counts the edges once, and ``_supersteps`` spills them
 into hash partitions ONCE (``_pin_edges``, by the one node assignment
-``_part_of`` that also routes every message; CSR-sorted and cached per
-worker). Vertex state lives per partition in the object store, and
+``_part_of`` that also routes every message; CSR-sorted once per run
+into the object store). Vertex state lives per partition in the object store, and
 rounds exchange only messages as direct plasma refs — the edge set never
 moves again (re-shuffling edges + state every round measured BFS 5M
 nodes 121 s vs 18.8 s, k-core 17-round cascade 148 s vs 13.8 s).
@@ -110,44 +110,33 @@ def _single(one: "ray.data.Dataset", fn) -> "ray.data.Dataset":
     return one.map_batches(fn, batch_size=None, batch_format="pyarrow")
 
 
-# per-worker-process cache of one pinned edge spill's partitions in CSR
-# form (node-sorted numpy arrays): read+sorted once per worker per
-# partition, reused every round. Keyed by spill dir; switching to a new
-# run drops the old run's tables.
-_EDGE_CACHE: dict = {"dir": None, "parts": {}}
-
-
 def _edge_csr(edge_dir: str, part_id: int, files: tuple, dedup: bool,
-              node_type):
-    if _EDGE_CACHE["dir"] != edge_dir:
-        _EDGE_CACHE["dir"] = edge_dir
-        _EDGE_CACHE["parts"] = {}
-    key = (part_id, dedup)
-    got = _EDGE_CACHE["parts"].get(key)
-    if got is None:
-        if files:
-            t = read_spill(edge_dir, part_id, files)
-        else:   # no edge hashed here: the partition still holds state
-            t = pa.table({"node": pa.array([], node_type),
-                          "dst": pa.array([], node_type)})
-        # partition-local distinct == global distinct (all copies of an
-        # edge share the source node, hence the partition); k-core
-        # degree counting REQUIRES it, BFS is merely insensitive to it.
-        # lexsort + consecutive-dup mask: ~2x pandas drop_duplicates +
-        # mergesort, and CSR needs the sort anyway. PageRank passes
-        # dedup=False: mass flows once per edge INSTANCE.
-        node = t.column("node").to_pandas().to_numpy()
-        dst = t.column("dst").to_pandas().to_numpy()
-        order = np.lexsort((dst, node))
-        n2, d2 = node[order], dst[order]
-        if dedup and len(n2):
-            keep = np.empty(len(n2), dtype=bool)
-            keep[0] = True
-            keep[1:] = (n2[1:] != n2[:-1]) | (d2[1:] != d2[:-1])
-            n2, d2 = n2[keep], d2[keep]
-        got = (n2, d2)
-        _EDGE_CACHE["parts"][key] = got
-    return got
+              node_type) -> tuple:
+    """One pinned partition's edges in CSR form: (node_s, dst_s), the
+    node-sorted numpy arrays every round of the run reads. Built once
+    per run by one task; the driver holds its ref for the run only, so
+    the edge set is held once in total and freed when the run ends."""
+    if files:
+        t = read_spill(edge_dir, part_id, files)
+    else:   # no edge hashed here: the partition still holds state
+        t = pa.table({"node": pa.array([], node_type),
+                      "dst": pa.array([], node_type)})
+    # partition-local distinct == global distinct (all copies of an
+    # edge share the source node, hence the partition); k-core
+    # degree counting REQUIRES it, BFS is merely insensitive to it.
+    # lexsort + consecutive-dup mask: ~2x pandas drop_duplicates +
+    # mergesort, and CSR needs the sort anyway. PageRank passes
+    # dedup=False: mass flows once per edge INSTANCE.
+    node = t.column("node").to_pandas().to_numpy()
+    dst = t.column("dst").to_pandas().to_numpy()
+    order = np.lexsort((dst, node))
+    n2, d2 = node[order], dst[order]
+    if dedup and len(n2):
+        keep = np.empty(len(n2), dtype=bool)
+        keep[0] = True
+        keep[1:] = (n2[1:] != n2[:-1]) | (d2[1:] != d2[:-1])
+        n2, d2 = n2[keep], d2[keep]
+    return n2, d2
 
 
 def _part_of(nodes, node_type, n_parts: int) -> "np.ndarray":
@@ -190,22 +179,20 @@ def _route(out, node_type, n_parts: int) -> list:
 
 
 @ray.remote(num_cpus=1)
-def _superstep(step, csr_args, state, r: int, *inbox):
+def _superstep(step, csr, node_type, n_parts: int, state, r: int, *inbox):
     """One partition, one round -> (state, per-destination message counts,
     *one message per destination). Each message is its own object, so
     receivers take refs straight from plasma; only counts reach the
     driver."""
-    edge_dir, part_id, files, dedup, node_type, n_parts = csr_args
-    state, out = step(_edge_csr(edge_dir, part_id, files, dedup, node_type),
-                      state, list(inbox), r)
+    state, out = step(csr, state, list(inbox), r)
     msgs = _route(out, node_type, n_parts)
     counts = np.array([0 if m is None else len(m[0]) for m in msgs])
     return (state, counts, *msgs)
 
 
 @ray.remote(num_cpus=1)
-def _finish(finish, state) -> pa.Table:
-    return finish(state)
+def _task(fn, *args):
+    return fn(*args)
 
 
 def _supersteps(sym, node_type, n_parts: int, step, finish, max_round: int,
@@ -221,13 +208,14 @@ def _supersteps(sym, node_type, n_parts: int, step, finish, max_round: int,
     ``finish(state)`` rows of every partition."""
     edge_dir, files_of, eager_cleanup = _pin_edges(
         sym, n_parts, f"cee_{name}_edges_")
+    csr = [_task.remote(_edge_csr, edge_dir, p, files_of.get(p, ()), dedup,
+                        node_type) for p in range(n_parts)]
     state = [None] * n_parts
     inbox = [[ray.put(m)] if m is not None and len(m[0]) else []
              for m in _route(seed, node_type, n_parts)]
     for r in range(max_round + 1):
         rets = [_superstep.options(num_returns=2 + n_parts).remote(
-            step, (edge_dir, p, files_of.get(p, ()), dedup, node_type,
-                   n_parts), state[p], r, *inbox[p])
+            step, csr[p], node_type, n_parts, state[p], r, *inbox[p])
             for p in range(n_parts)]
         state = [rt[0] for rt in rets]
         counts = ray.get([rt[1] for rt in rets])
@@ -240,7 +228,7 @@ def _supersteps(sym, node_type, n_parts: int, step, finish, max_round: int,
             "%s: stopped after round %d with messages still pending — the "
             "result is not the fixpoint (a k-core superset, or split "
             "components); raise max_iters", name, max_round)
-    out_refs = [_finish.remote(finish, s) for s in state]
+    out_refs = [_task.remote(finish, s) for s in state]
     ray.wait(out_refs, num_returns=len(out_refs))
     release_spill_dir(edge_dir, eager_cleanup)
     return ray.data.from_arrow_refs(out_refs)

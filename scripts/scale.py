@@ -28,8 +28,6 @@ op at one scale in a fresh Ray session, so drive a sweep from bash:
 
 from __future__ import annotations
 
-import argparse
-import inspect
 import json
 import logging
 import os
@@ -40,6 +38,7 @@ import time
 
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
+from opcli import parser  # noqa: E402
 from scale_ops import Ctx, maxrss_mb  # noqa: E402
 from scale_ops import dedup, graph, relational, stores, stress, text, vectors  # noqa: E402
 
@@ -74,32 +73,6 @@ OPS = {
 }
 
 
-def _params(fn) -> dict:
-    """The op's keyword params and their defaults (its CLI)."""
-    return {n: p.default for n, p in inspect.signature(fn).parameters.items()
-            if p.kind is p.KEYWORD_ONLY}
-
-
-def _parser() -> argparse.ArgumentParser:
-    raw = argparse.RawDescriptionHelpFormatter
-    ap = argparse.ArgumentParser(description=__doc__, formatter_class=raw)
-    sub = ap.add_subparsers(dest="op", required=True, metavar="<op>")
-    for name, fn in OPS.items():
-        doc = inspect.getdoc(fn)
-        summary = " ".join(doc.split("\n\n")[0].split())
-        p = sub.add_parser(name, help=summary, description=doc,
-                           formatter_class=raw)
-        p.add_argument("--num-cpus", type=int, default=32)
-        for pname, default in _params(fn).items():
-            flag = "--" + pname.replace("_", "-")
-            if isinstance(default, bool):
-                p.add_argument(flag, action=argparse.BooleanOptionalAction,
-                               default=default)
-            else:
-                p.add_argument(flag, type=type(default), default=default)
-    return ap
-
-
 def _spill_stats() -> dict:
     """Plasma disk-spill footprint of this session: walk its
     ray_spilled_objects_* dirs (the gRPC memory-summary API is not
@@ -123,7 +96,7 @@ def _spill_stats() -> dict:
 
 
 def main(argv=None) -> int:
-    kw = vars(_parser().parse_args(argv))
+    kw = vars(parser(__doc__, OPS, num_cpus=32).parse_args(argv))
     name, num_cpus = kw.pop("op"), kw.pop("num_cpus")
     store_gb = kw.get("store_gb")
 

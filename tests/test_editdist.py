@@ -1,6 +1,6 @@
 """Edit-distance family: Myers bit-parallel kernel vs the classic DP,
-char-bag bound admissibility, and the length-banded pair stage vs a
-brute-force twin (including pairs that straddle band boundaries)."""
+and the length-banded pair stage vs a brute-force twin (including pairs
+that straddle band boundaries)."""
 
 import random
 
@@ -37,20 +37,6 @@ class TestMyersDistance:
         assert myers_distance(a, b) == 3
         assert myers_distance(a, a) == 0
         assert myers_distance(a, "") == 200
-
-    def test_bag_bound_admissible(self):
-        from calendar_event_entity_extraction_ray.functions.editdist import (
-            char_bag_lower_bound,
-            dp_distance,
-        )
-        from collections import Counter
-
-        rng = random.Random(23)
-        for _ in range(300):
-            a = "".join(rng.choice("abc") for _ in range(rng.randint(0, 25)))
-            b = "".join(rng.choice("abc") for _ in range(rng.randint(0, 25)))
-            assert char_bag_lower_bound(Counter(a), Counter(b)) \
-                <= dp_distance(a, b)
 
 
 class TestLevenshteinPairs:

@@ -147,21 +147,6 @@ class TestAnalyticDateFastPath:
                             surface, style)
 
 
-class TestNoise:
-    def test_noise_deterministic_and_bounded(self):
-        import random
-
-        from calendar_event_entity_extraction_ray.functions.noise import apply_noise
-
-        texts = [f"meeting about calendar in 30 minutes tomorrow #{i}"
-                 for i in range(200)]
-        a = [apply_noise(t, random.Random(f"n:{i}")) for i, t in enumerate(texts)]
-        b = [apply_noise(t, random.Random(f"n:{i}")) for i, t in enumerate(texts)]
-        assert a == b
-        changed = sum(1 for t, o in zip(texts, a) if t != o)
-        assert 0 < changed < 60  # ~10% gate
-
-
 class TestTokenizerProperties:
     """Invariants of the tokenized-feature operator on arbitrary input."""
 

@@ -211,10 +211,10 @@ class TestCrashRecovery:
 class TestExactDedup:
     def test_hash_bucket_collision_keeps_distinct_keys(self):
         """Two DIFFERENT keys landing in one hash bucket (certain at
-        10^12-row scale) must each survive — dedup is on exact keys, not
-        on the bucket hash."""
+        10^12-row scale) must each survive — the partition fold dedups on
+        exact keys, not on the bucket hash."""
         from calendar_event_entity_extraction_ray.stages.dedup import (
-            first_wins_in_bucket,
+            first_wins_partition,
         )
 
         g = pa.table({
@@ -222,7 +222,7 @@ class TestExactDedup:
             "ord": [2, 1, 3],
             "sig_hash": [7, 7, 7],
         })
-        out = first_wins_in_bucket(g, ["text"], "ord")
+        out = first_wins_partition(g, ["text"], "ord")
         got = sorted(zip(out.column("text").to_pylist(),
                          out.column("ord").to_pylist()))
         assert got == [("aaa", 2), ("bbb", 1)]
