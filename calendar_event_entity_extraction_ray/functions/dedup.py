@@ -15,12 +15,35 @@ import re
 from typing import List, Sequence, Set
 
 import numpy as np
+import pyarrow as pa
+import pyarrow.compute as pc
 
 _WORD_RE = re.compile(r"\w+", re.UNICODE)
 
 # Mersenne prime used for universal hashing of 64-bit minhash.
 _MERSENNE = (1 << 61) - 1
 _MAXH = np.uint64((1 << 61) - 1)
+
+
+def first_rows(t: pa.Table, keys: Sequence[str]) -> np.ndarray:
+    """Ascending indices of the first row of each distinct ``keys``
+    tuple of ``t``, NULL equal to NULL: exact first-wins dedup is
+    ``t.take(first_rows(t, keys))``.
+
+    Groups on each key's dictionary codes, which hold no NULLs: on a
+    nullable string key beside a fixed-width one, pyarrow 16's
+    ``group_by`` splits equal keys into several groups."""
+    if t.num_rows == 0:
+        return np.empty(0, np.int64)
+    codes = {}
+    for j, c in enumerate(keys):
+        enc = pc.dictionary_encode(t.column(c), null_encoding="encode")
+        codes[f"k{j}"] = pa.chunked_array([ch.indices for ch in enc.chunks])
+    codes["i"] = pa.array(np.arange(t.num_rows, dtype=np.int64))
+    first = pa.table(codes).group_by(
+        [f"k{j}" for j in range(len(keys))], use_threads=False,
+    ).aggregate([("i", "min")])
+    return np.sort(first.column("i_min").to_numpy())
 
 
 def char_ngrams(s: str, n: int = 3) -> Set[str]:

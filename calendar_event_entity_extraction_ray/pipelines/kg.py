@@ -14,7 +14,8 @@
 S1..S5 run as ONE task-form batch UDF (``fused_kg_batch``); the stage
 functions stay individually testable. S6 and the delta appends spill
 through the exchange's phase 1 (``stages/exchange.py:spill_partitions``)
-and write every file with ``state/manifest.py:write_parquet_atomic``.
+and write every file with ``state/manifest.py:write_parquet_atomic``;
+their set operations (distinct, sort) and reads stay in Arrow.
 The pipeline is lazy end-to-end; nothing materializes except the final
 sink or the small aggregates.
 """
@@ -27,11 +28,11 @@ from typing import Optional
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.parquet as pq
 
 import ray
 import ray.data
 
+from calendar_event_entity_extraction_ray.functions.dedup import first_rows
 from calendar_event_entity_extraction_ray.functions.linking import default_alias_rows
 from calendar_event_entity_extraction_ray.sources.pages import pages_table
 from calendar_event_entity_extraction_ray.stages.dedup import (
@@ -180,9 +181,8 @@ def _subj_part_of(num_partitions: int, skip=()):
 def _distinct_sorted(t: pa.Table) -> pa.Table:
     """The graph store's set semantics: distinct over all columns, sorted
     on all columns for byte-deterministic output."""
-    df = t.to_pandas().drop_duplicates()
-    t = pa.Table.from_pandas(df, preserve_index=False).cast(t.schema)
-    return t.sort_by([(c, "ascending") for c in t.schema.names])
+    return t.take(first_rows(t, t.schema.names)).sort_by(
+        [(c, "ascending") for c in t.schema.names])
 
 
 def materialize_graph(
@@ -332,7 +332,7 @@ def append_graph(
         existing = os.path.join(out_dir, f"part_key={part_id}",
                                 "data.parquet")
         if os.path.exists(existing):
-            t = pa.concat_tables([t, pq.read_table(existing)],
+            t = pa.concat_tables([t, M.read_parquet_file(existing)],
                                  promote_options="default")
         t = _distinct_sorted(t)
         M.write_partition_file(out_dir, part_id, t)
@@ -404,7 +404,8 @@ def compact_graph(out_dir: str) -> dict:
         paths += [os.path.join(out_dir, d["file"])
                   for d in entry["deltas"]]
         t = _distinct_sorted(pa.concat_tables(
-            [pq.read_table(p) for p in paths], promote_options="default"))
+            [M.read_parquet_file(p) for p in paths],
+            promote_options="default"))
         M.write_partition_file(out_dir, int(part_id), t)
         return part_id, t.num_rows
 

@@ -32,6 +32,7 @@ import ray.data
 from calendar_event_entity_extraction_ray.functions.dedup import (
     MinHasher,
     char_ngrams,
+    first_rows,
     jaccard,
     simhash64,
     word_shingles,
@@ -40,11 +41,7 @@ from calendar_event_entity_extraction_ray.functions.dedup import (
 
 def dedup_triples_batch(batch: pa.Table) -> pa.Table:
     """Exact (subj, pred, obj) distinct within a batch — see module note."""
-    if batch.num_rows == 0:
-        return batch
-    df = batch.to_pandas()
-    df = df.drop_duplicates(subset=["subj", "pred", "obj"], keep="first")
-    return pa.Table.from_pandas(df, preserve_index=False).cast(batch.schema)
+    return batch.take(first_rows(batch, ["subj", "pred", "obj"]))
 
 
 def key_strings(batch: pa.Table, cols: List[str]) -> List[str]:

@@ -623,6 +623,13 @@ def append_ivf_store(
     pq_ref = ray.put(
         np.asarray(manifest["pq"]["codebook"], dtype=np.float64)
         if manifest.get("pq") else None)
+    # deltas store vectors as the base does: compaction concatenates
+    # them, and e.g. embstore survivors arrive as list<double> against
+    # a list<float> base
+    vec_type = next(
+        (pq.read_schema(os.path.join(out_dir, e["file"])).field(
+            vec_col).type
+         for e in manifest["cells"].values() if e.get("file")), None)
 
     assigned = ds.map_batches(
         run_stage,
@@ -638,6 +645,9 @@ def append_ivf_store(
                              "file": pa.array([], pa.string())})
         cell = int(t.column("ivf_cell")[0].as_py())
         body = t.select([id_col, vec_col]).sort_by(id_col)
+        if vec_type is not None:
+            body = body.set_column(1, vec_col,
+                                   body.column(vec_col).cast(vec_type))
         cb = ray.get(pq_ref)
         if cb is not None:
             mat = np.asarray(

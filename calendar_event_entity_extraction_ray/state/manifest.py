@@ -8,7 +8,8 @@ fingerprint). A re-run with the same fingerprint skips completed partitions
 and recomputes only the missing ones.
 
 It also owns every store's commit: one temp-then-rename write under
-``write_parquet_atomic`` and ``write_json``, and the stores' state-JSON
+``write_parquet_atomic``, ``write_ipc_atomic`` (the exchange's spill
+files) and ``write_json``, and the stores' state-JSON
 format (``StateFile``, ``pin_params``). The graph manifest and
 METRICS.json carry no ``format_version``, so older graphs still resume.
 """
@@ -25,6 +26,8 @@ from typing import Any, Callable, Dict, List, Optional
 
 import pyarrow as pa
 import pyarrow.parquet as pq
+
+from calendar_event_entity_extraction_ray.functions.dedup import first_rows
 
 MANIFEST_NAME = "_MANIFEST.json"
 STATE_FORMAT_VERSION = 1
@@ -136,15 +139,41 @@ def completed_partitions(out_dir: str, fingerprint: str) -> set:
     return set(int(k) for k in m["partitions"])
 
 
-def write_parquet_atomic(table: pa.Table, out_dir: str, name: str,
-                         compression: str = "snappy") -> str:
+def write_parquet_atomic(table: pa.Table, out_dir: str, name: str) -> str:
     """Write ``table`` to ``out_dir/name`` atomically (temp file + rename) and
     return the path: a reader, or a retried attempt writing the same
     name, never sees a partial file. The one Parquet write of every
-    attempt-commit path (exchange spills, partition files, store shards)."""
-    return _write_atomic(
-        out_dir, name,
-        lambda tmp: pq.write_table(table, tmp, compression=compression))
+    attempt-commit path (partition files, store shards)."""
+    return _write_atomic(out_dir, name,
+                         lambda tmp: pq.write_table(table, tmp))
+
+
+_IPC_OPTIONS = pa.ipc.IpcWriteOptions(compression="lz4",
+                                      unify_dictionaries=True)
+
+
+def write_ipc_atomic(table: pa.Table, out_dir: str, name: str) -> str:
+    """Write ``table`` to ``out_dir/name`` as an Arrow IPC file with LZ4
+    buffer compression, atomically like ``write_parquet_atomic``; return
+    the path. The exchange's spill write (``stages/exchange.py``): its
+    files are read once, by ``read_spill``, so they skip Parquet's
+    encoding. ``unify_dictionaries``: the file format holds one
+    dictionary per column, so chunks with differing dictionaries are
+    unified rather than rejected."""
+    def dump(tmp: str) -> None:
+        with pa.ipc.new_file(tmp, table.schema,
+                             options=_IPC_OPTIONS) as w:
+            w.write_table(table)
+
+    return _write_atomic(out_dir, name, dump)
+
+
+def read_parquet_file(path: str) -> pa.Table:
+    """One Parquet file as a table, straight from its footer:
+    ``pq.read_table(path)`` runs dataset discovery first (about 1 ms a
+    file), which a loop over small partition files pays every time."""
+    with pq.ParquetFile(path) as f:
+        return f.read()
 
 
 def write_partition_file(out_dir: str, part_id: int, table: pa.Table) -> str:
@@ -287,7 +316,8 @@ def read_output(out_dir: str, as_of: Optional[str] = None) -> pa.Table:
     """Concatenate every partition's base Parquet plus any LSM delta
     side files. When deltas are present the result is distinct-unioned
     (set-of-triples semantics — a base row re-ingested by a delta epoch
-    must not double); a base-only graph is returned as written.
+    must not double), one partition at a time, in Arrow; a base-only
+    graph is returned as written.
 
     ``as_of`` gives time travel over the LSM history: pass an epoch name
     to see the graph as of that epoch (later delta side files are simply
@@ -321,22 +351,24 @@ def read_output(out_dir: str, as_of: Optional[str] = None) -> pa.Table:
                     f"partition {part_id}'s base — as_of={as_of!r} is "
                     f"unreadable")
         allowed = set(epochs) - later_set
-    tables: List[pa.Table] = []
+    parts: List[pa.Table] = []
     any_delta = False
     for part_id in sorted(m["partitions"], key=int):
         entry = m["partitions"][part_id]
         base = os.path.join(out_dir, entry["file"])
-        if os.path.exists(base):
-            tables.append(pq.read_table(base))
+        tables = [read_parquet_file(base)] if os.path.exists(base) else []
         for d in entry.get("deltas", []):
             if allowed is not None and d["epoch"] not in allowed:
                 continue
             any_delta = True
-            tables.append(pq.read_table(os.path.join(out_dir, d["file"])))
-    if not tables:
+            tables.append(read_parquet_file(os.path.join(out_dir, d["file"])))
+        if tables:
+            parts.append(pa.concat_tables(tables, promote_options="default"))
+    if not parts:
         return pa.table({})
-    t = pa.concat_tables(tables, promote_options="default")
     if any_delta:
-        df = t.to_pandas().drop_duplicates()
-        t = pa.Table.from_pandas(df, preserve_index=False).cast(t.schema)
-    return t
+        # a row's partition is hash(subj) % P, so equal rows share one
+        # partition and per-partition distinct is global distinct; rows
+        # keep their first-occurrence order
+        parts = [t.take(first_rows(t, t.schema.names)) for t in parts]
+    return pa.concat_tables(parts, promote_options="default")

@@ -364,3 +364,108 @@ class TestTimeTravelRead:
             read_output(out, as_of="m1")
         pd.testing.assert_frame_equal(
             _distinct(read_output(out, as_of="d1")), append_less)
+
+
+def _pandas_distinct_sorted(t: pa.Table) -> pa.Table:
+    """The pandas set operation ``_distinct_sorted`` must equal."""
+    df = t.to_pandas().drop_duplicates()
+    t2 = pa.Table.from_pandas(df, preserve_index=False).cast(t.schema)
+    return t2.sort_by([(c, "ascending") for c in t.schema.names])
+
+
+def _partition_tables(out_dir: str) -> dict:
+    """{part_id: [base, delta...]} as the manifest lists them."""
+    import pyarrow.parquet as pq
+
+    return {pid: [pq.read_table(os.path.join(out_dir, f))
+                  for f in [e["file"]]
+                  + [d["file"] for d in e.get("deltas", [])]]
+            for pid, e in _manifest(out_dir)["partitions"].items()}
+
+
+class TestArrowSetOps:
+    """The graph store's distinct and sort run in Arrow and give the
+    tables the pandas versions gave: same files, same read."""
+
+    @pytest.fixture(scope="class")
+    def daily_round(self, ray_session, tmp_path_factory):
+        """A base graph plus two delta epochs, each half re-crawled
+        pages and half new (the shape of a daily epoch)."""
+        from calendar_event_entity_extraction_ray.pipelines.kg import (
+            append_graph,
+            kg_triples,
+            materialize_graph,
+        )
+
+        out = str(tmp_path_factory.mktemp("daily") / "graph")
+        materialize_graph(kg_triples(_pages_slice(0, 200)), out,
+                          fingerprint="base", num_partitions=4)
+        for epoch, lo in (("d1", 100), ("d2", 200)):
+            append_graph(kg_triples(_pages_slice(lo, lo + 200)), out,
+                         epoch=epoch, mode="delta")
+        return out
+
+    def test_distinct_sorted_on_daily_partitions(self, daily_round):
+        from calendar_event_entity_extraction_ray.pipelines.kg import (
+            _distinct_sorted,
+        )
+
+        parts = _partition_tables(daily_round)
+        assert len(parts) == 4
+        for pid, tables in parts.items():
+            t = pa.concat_tables(tables)
+            got = _distinct_sorted(t)
+            assert got.num_rows < t.num_rows, pid  # re-crawls collapse
+            assert got.equals(_pandas_distinct_sorted(t)), pid
+
+    def test_distinct_sorted_on_a_million_rows(self):
+        """A 1M-row partition with repeated rows and NULL objects (a
+        nullable string key beside the timestamp, the grouping shape
+        pyarrow's ``group_by`` mis-groups)."""
+        import numpy as np
+
+        from calendar_event_entity_extraction_ray.pipelines.kg import (
+            _distinct_sorted,
+        )
+
+        n = 1_000_000
+        rng = np.random.default_rng(7)
+        subj = rng.integers(0, 300_000, n)
+        obj = rng.integers(0, 40, n).astype(object)
+        obj[rng.random(n) < 0.05] = None
+        t = pa.table({
+            "subj": pa.array([f"http://p/{i}#ev0" for i in subj]),
+            "pred": pa.array(np.array(["hasTitle", "hasDate", "hasPlace"])[
+                subj % 3]),
+            "obj": pa.array([None if o is None else f"o{o}" for o in obj],
+                            pa.string()),
+            "kind": pa.array(np.array(["title", "date", "place"])[subj % 3]),
+            "url": pa.array([f"http://p/{i}" for i in subj]),
+            "warc_ts": pa.array(subj % 5 * 1_000_000, pa.timestamp("us")),
+        })
+        got = _distinct_sorted(t)
+        assert got.num_rows < n
+        assert got.equals(_pandas_distinct_sorted(t))
+
+    def test_read_output_equals_global_pandas_distinct(self, daily_round):
+        """Per-partition distinct == the global distinct, row for row
+        (first-occurrence order kept), and as of each epoch."""
+        from calendar_event_entity_extraction_ray.state.manifest import (
+            read_output,
+        )
+
+        m, parts = _manifest(daily_round), _partition_tables(daily_round)
+        for as_of, allowed in (("base", set()), ("d1", {"d1"}),
+                               (None, {"d1", "d2"})):
+            tables = []
+            for pid in sorted(parts, key=int):
+                epochs = [None] + [d["epoch"] for d in
+                                   m["partitions"][pid].get("deltas", [])]
+                tables += [t for t, e in zip(parts[pid], epochs)
+                           if e is None or e in allowed]
+            want = pa.concat_tables(tables)
+            if allowed:
+                want = pa.Table.from_pandas(
+                    want.to_pandas().drop_duplicates(),
+                    preserve_index=False).cast(want.schema)
+            assert read_output(daily_round, as_of=as_of).equals(want), as_of

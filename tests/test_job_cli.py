@@ -81,8 +81,13 @@ def test_every_op_joins_the_cluster_address(monkeypatch, capsys):
 
 
 def test_daily_reruns_are_noops(ray_session):
+    """day1 and day2 ingest disjoint halves of the inputs (even and odd
+    ids), so day2 adds rows to the corpus, window and feature stores,
+    and its re-run still changes nothing."""
     rec = job.OPS["daily"](sf_dir=SF, pages=300)
     assert rec["ok"] is True, rec
+    assert set(rec["day2_new"]) == {"corpus", "windows", "decay", "hist"}
+    assert all(n > 0 for n in rec["day2_new"].values()), rec["day2_new"]
     assert sorted(rec["checks"]) == sorted(
         [f"{s}_noop" for s in ("corpus", "graph", "entities", "windows",
                                "decay", "hll", "hist", "embdedup",
@@ -111,3 +116,28 @@ def test_daily_exits_1_when_a_rerun_writes(ray_session, monkeypatch,
     checks = json.loads(capsys.readouterr().out)["checks"]
     assert {c for c, ok in checks.items()
             if not ok and c.endswith("_noop")} == {"windows_noop"}
+
+
+def test_runbook_vecstore_cycle_compacts_embstore_survivors(ray_session,
+                                                            tmp_path):
+    """RUNBOOK §6 step 4 plus the weekly compaction: embstore --out,
+    vecstore-append of its survivors, then vecstore-compact. The
+    survivors' vectors arrive as list<double> against a list<float>
+    base; the delta is stored as the base's type, so the fold can
+    concatenate the two."""
+    import pyarrow.parquet as pq
+
+    embs, vs = f"{SF}/embeddings.parquet", str(tmp_path / "vectors")
+    stores.vecstore_build(store=vs, input=embs, cells=4, pq_m=4)
+    clean = str(tmp_path / "emb_clean" / "epoch=day2")
+    rec = stores.embstore(store=str(tmp_path / "embdedup"), epoch="day2",
+                          input=embs, out=clean)
+    assert rec["n_survivors"] > 0
+    stores.vecstore_append(store=vs, input=clean, epoch="day2")
+    rec = stores.vecstore_compact(store=vs)
+    assert rec["compacted_epochs"] == ["day2"]
+    base_type = pq.read_schema(embs).field("embedding").type
+    cells = json.load(open(os.path.join(vs, "_MANIFEST.json")))["cells"]
+    for e in cells.values():
+        assert pq.read_schema(os.path.join(vs, e["file"])).field(
+            "embedding").type == base_type

@@ -93,3 +93,74 @@ class TestStagedFusedEquivalence:
         staged = dedup_triples_batch(t).to_pandas()
         assert len(staged) > 0
         assert triple_set(fused) == triple_set(staged)
+
+
+def _pandas_first_wins(batch: pa.Table) -> pa.Table:
+    """The pandas (subj, pred, obj) first-wins distinct that
+    ``dedup_triples_batch`` must equal row for row."""
+    df = batch.to_pandas().drop_duplicates(subset=["subj", "pred", "obj"],
+                                           keep="first")
+    return pa.Table.from_pandas(df, preserve_index=False).cast(batch.schema)
+
+
+def _emitted(rows):
+    """An emit-stage batch: (subj, pred, obj, kind, url, warc_ts)."""
+    ts = datetime(2025, 1, 1)
+    return pa.table({
+        "subj": pa.array([r[0] for r in rows], pa.string()),
+        "pred": pa.array([r[1] for r in rows], pa.string()),
+        "obj": pa.array([r[2] for r in rows], pa.string()),
+        "kind": pa.array([r[3] for r in rows], pa.string()),
+        "url": pa.array(["http://a"] * len(rows), pa.string()),
+        "warc_ts": pa.array([ts] * len(rows), pa.timestamp("us")),
+    })
+
+
+class TestDedupTriplesBatch:
+    """S5 in Arrow: first-wins (subj, pred, obj) distinct, equal to the
+    pandas version row for row, with the input schema."""
+
+    def _check(self, batch: pa.Table) -> pa.Table:
+        from calendar_event_entity_extraction_ray.stages.dedup import (
+            dedup_triples_batch,
+        )
+
+        got = dedup_triples_batch(batch)
+        assert got.equals(_pandas_first_wins(batch))
+        assert got.schema == batch.schema
+        assert b"pandas" not in (got.schema.metadata or {})
+        return got
+
+    def test_two_surfaces_linking_to_one_canonical(self):
+        from calendar_event_entity_extraction_ray.functions.linking import (
+            default_alias_rows,
+        )
+        from calendar_event_entity_extraction_ray.stages.link_entities import (
+            LinkEntities,
+        )
+
+        linked = LinkEntities(alias_ref=default_alias_rows())(_emitted([
+            ("e1", "hasTitle", "Sync", "title"),
+            ("e1", "hasAttendee", "Jon", "person"),
+            ("e1", "hasAttendee", "Johnny", "person"),
+            ("e1", "hasAttendee", "Liz", "person"),
+            ("e2", "hasAttendee", "Johnny", "person"),
+        ]))
+        assert linked.column("obj").to_pylist().count("John") == 3
+        got = self._check(linked)
+        assert got.column("obj").to_pylist() == [
+            "Sync", "John", "Elizabeth", "John"]
+
+    def test_null_obj_collapses_like_pandas(self):
+        got = self._check(_emitted([
+            ("e1", "hasDate", None, "date"),
+            ("e1", "hasTime", None, "time"),
+            ("e1", "hasDate", None, "date"),
+            ("e1", "hasDate", "2025-01-02", "date"),
+            ("e2", "hasDate", None, "date"),
+        ]))
+        assert got.num_rows == 4
+
+    def test_empty_batch(self):
+        got = self._check(_emitted([]))
+        assert got.num_rows == 0

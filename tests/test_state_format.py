@@ -1,7 +1,7 @@
 """state/manifest.py — the one state-JSON commit every store shares.
 
-- ``os.replace`` and ``json.dump`` appear only in state/manifest.py, so
-  no store can hand-roll its own commit;
+- ``os.replace``, ``json.dump`` and the Arrow IPC file writer appear
+  only in state/manifest.py, so no store can hand-roll its own commit;
 - a state JSON without ``format_version`` (a dir written before the
   format existed) is rejected by each store's ingest AND read path,
   naming the dir, with nothing written;
@@ -29,32 +29,39 @@ from calendar_event_entity_extraction_ray.stages import watermark as WM
 from calendar_event_entity_extraction_ray.state import manifest
 
 PKG = pathlib.Path(pkg.__file__).parent
-GUARDED = {"os.replace", "json.dump"}
+GUARDED = {"os.replace", "json.dump", "pyarrow.ipc.new_file"}
+
+
+def _dotted(node) -> list:
+    """``a.b.c`` as ["a", "b", "c"]; [] for anything but a name chain."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    return [node.id] + parts[::-1] if isinstance(node, ast.Name) else []
 
 
 def _guarded_calls(path: pathlib.Path) -> list:
-    """(call, line) for every os.replace / json.dump call in a module,
-    through ``import os as x`` and ``from json import dump`` too."""
+    """(call, line) for every guarded call in a module, through
+    ``import os as x``, ``from json import dump`` and
+    ``from pyarrow import ipc`` too."""
     tree = ast.parse(path.read_text())
-    mods, names = {}, {}
+    alias = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             for a in node.names:
-                mods[a.asname or a.name] = a.name
+                alias[a.asname or a.name] = a.name
         elif isinstance(node, ast.ImportFrom):
             for a in node.names:
-                names[a.asname or a.name] = f"{node.module}.{a.name}"
+                alias[a.asname or a.name] = f"{node.module}.{a.name}"
     out = []
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
             continue
-        f = node.func
-        if isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name):
-            full = f"{mods.get(f.value.id, f.value.id)}.{f.attr}"
-        elif isinstance(f, ast.Name):
-            full = names.get(f.id)
-        else:
+        chain = _dotted(node.func)
+        if not chain:
             continue
+        full = ".".join([alias.get(chain[0], chain[0])] + chain[1:])
         if full in GUARDED:
             out.append((full, node.lineno))
     return out
