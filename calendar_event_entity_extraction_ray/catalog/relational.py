@@ -479,7 +479,7 @@ def q_customer_order_counts_left(sf_dir: str) -> Any:
 
     orders = _read(sf_dir, "orders", columns=["o_custkey"]).map_batches(
         lambda b: add_hash_column(
-            partial_count_batch(b, "o_custkey")
+            partial_count_batch(b, ["o_custkey"])
             .rename_columns(["c_custkey", "partial"]),
             ["c_custkey"], out_col="_kh"),
         batch_format="pyarrow")
@@ -1981,7 +1981,7 @@ def q_custdist(sf_dir: str) -> Any:
         predicate=(pds.field("o_orderpriority") != "1-URGENT"),
     ).map_batches(
         lambda b: add_hash_column(
-            partial_count_batch(b, "o_custkey")
+            partial_count_batch(b, ["o_custkey"])
             .rename_columns(["c_custkey", "partial"]),
             ["c_custkey"], out_col="_kh"),
         batch_format="pyarrow")

@@ -1,4 +1,5 @@
-"""Dedup primitives: exact signatures, MinHash, SimHash, n-gram Jaccard.
+"""Dedup primitives: the grouping kernel (``group_fold``/``first_rows``),
+exact signatures, MinHash, SimHash, n-gram Jaccard.
 
 The reference only does exact first-wins dedup (augmentation/utils.py:36-46)
 and signature anti-joins (augmentors.py:64-78); the near-dup machinery here is
@@ -12,7 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import re
-from typing import List, Sequence, Set
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 import pyarrow as pa
@@ -25,25 +26,74 @@ _MERSENNE = (1 << 61) - 1
 _MAXH = np.uint64((1 << 61) - 1)
 
 
+def group_fold(t: pa.Table, keys: Sequence[str],
+               aggs: Optional[Dict[str, Tuple[Optional[str], str]]] = None,
+               ) -> pa.Table:
+    """The package's one grouping kernel: one row per distinct ``keys``
+    tuple of ``t`` (NULL equal to NULL, as SQL's GROUP BY), unsorted:
+    the order is a deterministic function of ``t`` but not first
+    appearance, so sort where a caller needs an order. The key columns
+    keep the input's types (taken from each group's first row); ``aggs`` adds
+    ``{out_name: (column, fn)}`` columns, ``fn`` one of ``count_all``
+    (column ignored), ``sum``, ``min`` and ``max``. Arrow's ``sum``
+    keeps int64 and gives NULL for a group whose values are all NULL.
+
+    Every key that is not a NULL-free integer or temporal column groups
+    on its dictionary codes, which hold no NULLs: on a nullable string
+    key beside a fixed-width one, pyarrow 16's ``group_by`` splits equal
+    keys into several groups. Partials folded again by ``group_fold``
+    (sum of sums, max of maxes) give the one-pass answer."""
+    aggs = aggs or {}
+    g, names = _groups(t, keys, aggs, first=False)
+    if "_i_min" in g.column_names:
+        out = t.select(list(keys)).take(g.column("_i_min"))
+    else:  # every key grouped as itself: the group keys are the values
+        out = g.select([f"_k{j}" for j in range(len(keys))]
+                       ).rename_columns(list(keys))
+    for name, col in zip(aggs, names):
+        out = out.append_column(name, g.column(col))
+    return out
+
+
 def first_rows(t: pa.Table, keys: Sequence[str]) -> np.ndarray:
     """Ascending indices of the first row of each distinct ``keys``
-    tuple of ``t``, NULL equal to NULL: exact first-wins dedup is
-    ``t.take(first_rows(t, keys))``.
+    tuple of ``t`` (``group_fold``'s groups, no aggregates): exact
+    first-wins dedup is ``t.take(first_rows(t, keys))``."""
+    return np.sort(_groups(t, keys, {}, first=True)[0]
+                   .column("_i_min").to_numpy())
 
-    Groups on each key's dictionary codes, which hold no NULLs: on a
-    nullable string key beside a fixed-width one, pyarrow 16's
-    ``group_by`` splits equal keys into several groups."""
-    if t.num_rows == 0:
-        return np.empty(0, np.int64)
-    codes = {}
+
+def _groups(t: pa.Table, keys: Sequence[str], aggs: dict, first: bool):
+    """``group_fold``'s group_by: (its table, the aggregate column names).
+    It holds ``_i_min``, each group's first row, when ``first`` is set or
+    a key was encoded. The group_by runs single-threaded, so its group
+    order is deterministic."""
+    cols, spec = {}, []
     for j, c in enumerate(keys):
-        enc = pc.dictionary_encode(t.column(c), null_encoding="encode")
-        codes[f"k{j}"] = pa.chunked_array([ch.indices for ch in enc.chunks])
-    codes["i"] = pa.array(np.arange(t.num_rows, dtype=np.int64))
-    first = pa.table(codes).group_by(
-        [f"k{j}" for j in range(len(keys))], use_threads=False,
-    ).aggregate([("i", "min")])
-    return np.sort(first.column("i_min").to_numpy())
+        col = t.column(c)
+        if col.null_count or not (pa.types.is_integer(col.type)
+                                  or pa.types.is_temporal(col.type)):
+            enc = pc.dictionary_encode(col, null_encoding="encode")
+            col = pa.chunked_array([ch.indices for ch in enc.chunks],
+                                   pa.int32())
+            first = True
+        cols[f"_k{j}"] = col
+    if first:
+        cols["_i"] = pa.array(np.arange(t.num_rows, dtype=np.int64))
+        spec.append(("_i", "min"))
+    names = []
+    for j, (c, fn) in enumerate(aggs.values()):
+        if fn == "count_all":
+            spec.append(([], fn))
+            names.append(fn)
+        else:
+            cols[f"_a{j}"] = t.column(c)
+            spec.append((f"_a{j}", fn))
+            names.append(f"_a{j}_{fn}")
+    g = pa.table(cols).group_by(
+        [f"_k{j}" for j in range(len(keys))], use_threads=False,
+    ).aggregate(spec)
+    return g, names
 
 
 def char_ngrams(s: str, n: int = 3) -> Set[str]:

@@ -13,6 +13,11 @@ before the shuffle, so the all-to-all exchange moves |distinct keys| x
 |batches| rows instead of every input row. Hub keys ("HQ", "Zoom" — the
 north-star's skewed hub entities) are not salted: a hub ships one partial
 row per batch, and its fold task sums those rows.
+
+Every keyed count/sum/min/max partial and fold here runs on the one
+Arrow kernel ``functions/dedup.py:group_fold``: NULL keys form one group
+(SQL GROUP BY), key columns keep their input types, integer sums stay
+int64 and an all-NULL group sums to NULL. Fold outputs are unsorted.
 """
 
 from __future__ import annotations
@@ -21,16 +26,22 @@ from typing import List, Optional
 
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 import ray.data
-from ray.data.aggregate import Count, Max, Mean, Min, Sum
+from ray.data.aggregate import Count, Max, Mean, Min
+
+from calendar_event_entity_extraction_ray.functions.dedup import (
+    first_rows,
+    group_fold,
+)
 
 
-def partial_count_batch(batch: pa.Table, key_col: str) -> pa.Table:
-    """Per-batch partial count -> (key, partial) rows."""
-    df = batch.select([key_col]).to_pandas()
-    counts = df.groupby(key_col, dropna=True).size().reset_index(name="partial")
-    return pa.Table.from_pandas(counts, preserve_index=False)
+def partial_count_batch(batch: pa.Table, key_cols: List[str]) -> pa.Table:
+    """Per-batch partial count -> (keys..., partial) rows; a row with
+    any NULL key is dropped."""
+    return group_fold(batch.select(key_cols).drop_null(), key_cols,
+                      {"partial": (None, "count_all")})
 
 
 def grouped_count(
@@ -41,7 +52,7 @@ def grouped_count(
 
     Each batch collapses to (key, partial) rows — a hot key ships ONE row
     per batch, so no salting is needed; the exchange then folds each
-    co-located key group with one vectorized pandas sum. This replaces
+    co-located key group with one ``group_fold`` sum. This replaces
     the earlier salted Ray-groupby reduce, whose sort-based shuffle
     degraded on high-cardinality keys (measured at 5M rows: 200k keys
     38 s -> 3 s, 2M keys 68 s -> 5 s; low-cardinality timings unchanged).
@@ -59,19 +70,13 @@ def grouped_count(
 
     partials = ds.map_batches(
         lambda b: add_hash_column(
-            partial_count_batch(b, key_col), [key_col],
+            partial_count_batch(b, [key_col]), [key_col],
             out_col="_gh"),
         batch_format="pyarrow",
     )
-
-    def fold(t: pa.Table) -> pa.Table:
-        df = (t.drop_columns(["_gh"]).to_pandas()
-              .groupby(key_col, dropna=False, sort=False)["partial"]
-              .sum().reset_index().rename(columns={"partial": out_col}))
-        df[out_col] = df[out_col].astype("int64")
-        return pa.Table.from_pandas(df, preserve_index=False)
-
-    return hash_partition_map(partials, "_gh", fold)
+    return hash_partition_map(
+        partials, "_gh",
+        lambda t: group_fold(t, [key_col], {out_col: ("partial", "sum")}))
 
 
 def attendee_location_pools(
@@ -97,11 +102,6 @@ def attendee_location_pools(
         return pa.table({"kind": pa.array(kinds, pa.string()),
                          "name": pa.array(names, pa.string())})
 
-    both = events_ds.map_batches(explode, batch_format="pyarrow")
-
-    def partial(b: pa.Table) -> pa.Table:
-        return partial_count_batch2(b, ["kind", "name"])
-
     from calendar_event_entity_extraction_ray.stages.dedup import (
         add_hash_column,
     )
@@ -109,59 +109,29 @@ def attendee_location_pools(
         hash_partition_map,
     )
 
-    partials = both.map_batches(
-        lambda b: add_hash_column(partial(b), ["kind", "name"],
-                                  out_col="_gh"),
+    keys = ["kind", "name"]
+    partials = events_ds.map_batches(
+        lambda b: add_hash_column(partial_count_batch(explode(b), keys),
+                                  keys, out_col="_gh"),
         batch_format="pyarrow")
-
-    def fold(t: pa.Table) -> pa.Table:
-        # exchange reduce: distinct-entity cardinality scales with the
-        # corpus, which is exactly where Ray's sort-groupby cliff bites
-        # (see grouped_count)
-        df = (t.drop_columns(["_gh"]).to_pandas()
-              .groupby(["kind", "name"], dropna=False)["partial"].sum()
-              .reset_index().rename(columns={"partial": "n"}))
-        df["n"] = df["n"].astype("int64")
-        return pa.Table.from_pandas(df, preserve_index=False)
-
-    counts = hash_partition_map(partials, "_gh", fold)
+    # exchange reduce: distinct-entity cardinality scales with the
+    # corpus, which is exactly where Ray's sort-groupby cliff bites (see
+    # grouped_count)
+    counts = hash_partition_map(
+        partials, "_gh",
+        lambda t: group_fold(t, keys, {"n": ("partial", "sum")}))
     # distributed top-k per kind: sort + limit collect only k rows each —
     # the full distinct-entity histogram never reaches the driver
-    import pyarrow.compute as pc
-
     counts = counts.materialize()  # consumed twice (one pass per kind)
 
     def top(kind: str) -> List[str]:
         only = counts.map_batches(
             lambda b, s=kind: b.filter(pc.equal(b.column("kind"), s)),
             batch_format="pyarrow")
-        return only.sort(["n", "name"], descending=[True, False]).limit(
-            k).to_pandas()["name"].tolist()
+        return [r["name"] for r in only.sort(
+            ["n", "name"], descending=[True, False]).limit(k).take_all()]
 
     return top("a"), top("l")
-
-
-def partial_count_batch2(batch: pa.Table, key_cols: List[str]) -> pa.Table:
-    """Multi-key per-batch partial count."""
-    df = batch.select(key_cols).to_pandas()
-    counts = df.groupby(key_cols, dropna=True).size().reset_index(name="partial")
-    return pa.Table.from_pandas(counts, preserve_index=False)
-
-
-def _restore_key_types(
-    out: pa.Table, in_schema: pa.Schema, key_cols: List[str]
-) -> pa.Table:
-    """Undo pandas dtype erasure on key columns: a block whose key values
-    are ALL NULL round-trips through pandas as an all-NaN float column and
-    comes back float64/null instead of the input's type, so the exchange's
-    cross-block concat fails to unify schemas (string vs double). The
-    offending values are all null, so the cast back is lossless."""
-    for c in key_cols:
-        want = in_schema.field(c).type
-        idx = out.schema.get_field_index(c)
-        if out.schema.field(idx).type != want:
-            out = out.set_column(idx, c, out.column(c).cast(want))
-    return out
 
 
 def grouped_sums(
@@ -177,9 +147,10 @@ def grouped_sums(
     aggregation: the shuffle moves |groups| x |batches| partial rows, not
     every input row (TPC-H Q1's 6 groups over 10^9 rows move kilobytes),
     and the reduce runs on the explicit exchange, so high-cardinality
-    keys don't hit Ray's sort-shuffle (see grouped_count). Integer sums
-    stay int64 through the pandas fold (Ray's Sum widened them to
-    float64).
+    keys don't hit Ray's sort-shuffle (see grouped_count). Both run on
+    ``group_fold``: NULL keys form one group, integer sums stay int64
+    (Ray's Sum widened them to float64) and a group whose values are all
+    NULL sums to NULL, as in SQL.
 
     ``stream_reduce=True`` folds the partials inside the SAME streaming
     plan (``repartition(1)`` + one fold task) instead of the disk
@@ -189,22 +160,15 @@ def grouped_sums(
     groups; the default exchange handles those."""
     min_cols = min_cols or []
     max_cols = max_cols or []
+    # (partial column, input column, output column, fn), output order
+    aggs = ([(f"{c}__sum", c, c, "sum") for c in sum_cols]
+            + [(count_alias, None, count_alias, "count_all")]
+            + [(f"{c}__min", c, f"min_{c}", "min") for c in min_cols]
+            + [(f"{c}__max", c, f"max_{c}", "max") for c in max_cols])
 
     def partial(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        g = df.groupby(key_cols, dropna=False)
-        if sum_cols:
-            agg = g[sum_cols].sum()
-            agg.columns = [f"{c}__sum" for c in sum_cols]
-        else:
-            agg = pd.DataFrame(index=g.size().index)
-        agg[count_alias] = g.size()
-        for c in min_cols:
-            agg[f"{c}__min"] = g[c].min()
-        for c in max_cols:
-            agg[f"{c}__max"] = g[c].max()
-        out = pa.Table.from_pandas(agg.reset_index(), preserve_index=False)
-        return _restore_key_types(out, batch.schema, key_cols)
+        return group_fold(batch, key_cols,
+                          {p: (c, fn) for p, c, _, fn in aggs})
 
     from calendar_event_entity_extraction_ray.stages.dedup import (
         add_hash_column,
@@ -220,21 +184,9 @@ def grouped_sums(
     def fold(t: pa.Table) -> pa.Table:
         # same explicit-exchange reduce as grouped_count: Ray's sort-based
         # groupby on the partial rows degraded at high key cardinality
-        df = t.drop_columns(["_gh"]).to_pandas()
-        g = df.groupby(key_cols, dropna=False)
-        out = pd.DataFrame(index=g.size().index)
-        for c in sum_cols:
-            out[c] = g[f"{c}__sum"].sum()
-        out[count_alias] = g[count_alias].sum()
-        for c in min_cols:
-            out[f"min_{c}"] = g[f"{c}__min"].min()
-        for c in max_cols:
-            out[f"max_{c}"] = g[f"{c}__max"].max()
-        res = pa.Table.from_pandas(out.reset_index(),
-                                   preserve_index=False)
-        # same dtype-erasure hazard as partial(): an all-NULL-key fold
-        # partition must not flip the key column's type in the output
-        return _restore_key_types(res, t.schema, key_cols)
+        return group_fold(t, key_cols, {
+            o: (p, "sum" if fn == "count_all" else fn)
+            for p, _, o, fn in aggs})
 
     if stream_reduce:
         return partials.repartition(1).map_batches(
@@ -262,7 +214,6 @@ def numeric_histogram(
     ``floor(col / width)`` for |col| < 2^53.
     """
     import numpy as np
-    import pyarrow.compute as pc
 
     by = list(by or [])
     keep = by + [col]
@@ -282,7 +233,6 @@ def entity_degree(triples_ds: "ray.data.Dataset",
                   preds: Optional[List[str]] = None) -> "ray.data.Dataset":
     """Graph degree per object entity — the skew-prone hub aggregate.
     Filter to linkable predicates, then grouped count on ``obj``."""
-    import pyarrow.compute as pc
 
     preds = preds or ["hasAttendee", "hasLocation"]
 
@@ -297,8 +247,6 @@ def corpus_stats(ds: "ray.data.Dataset", text_col: str = "text") -> pd.DataFrame
     """Global count + avg/min/max text length (analyze_dataset analogue)."""
 
     def lengths(b: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
         return pa.table({"n_chars_": pc.utf8_length(b.column(text_col))})
 
     out = ds.map_batches(lengths, batch_format="pyarrow").aggregate(
@@ -373,7 +321,7 @@ def extreme_row_per_group(
     key is its only possible contribution), so the exchange moves <= one
     row per (key, batch) — a hot key ships one row per batch, same skew
     story as grouped_count. The winner selection runs Arrow-native
-    (``Table.sort_by`` + a first-occurrence mask on the key columns):
+    (``Table.sort_by`` + ``first_rows`` on the key columns):
     value columns never round-trip through pandas, so a batch with NULLs
     in an int64 column can't flip it to float64 and break the exchange
     concat (the dtype trap documented at dedup.py:hash64_columns).
@@ -391,10 +339,8 @@ def extreme_row_per_group(
         if t.num_rows == 0:
             return t
         t = t.sort_by(order_by)
-        # first occurrence per key tuple; pandas duplicated() treats
-        # NaN == NaN, giving SQL's one-NULL-group behavior
-        dup = t.select(key_cols).to_pandas().duplicated().to_numpy()
-        return t.filter(pa.array(~dup))
+        # first occurrence per key tuple, NULL keys one group (SQL)
+        return t.take(first_rows(t, key_cols))
 
     pruned = ds.map_batches(
         lambda b: add_hash_column(winners(b), key_cols, out_col="_gh"),
@@ -418,12 +364,9 @@ def pivot_count(
     emits vectorized 0/1 indicator columns and the existing
     ``grouped_sums`` partial-aggregation path reduces them — the shuffle
     moves |keys| x |batches| partial rows, never input rows."""
-    import numpy as np
-    import pyarrow.compute as pc
-
     if values is None:
-        vals = grouped_count(ds, pivot_col, out_col="_n").to_pandas()
-        values = sorted(vals[pivot_col].dropna().tolist())
+        values = sorted(r[pivot_col] for r in grouped_count(
+            ds, pivot_col, out_col="_n").take_all())
 
     cols = [f"{prefix}{v}" for v in values]
 
@@ -438,30 +381,20 @@ def pivot_count(
         for v, c in zip(values, cols):
             ind = pc.cast(pc.equal(pv, v), pa.int64())
             out = out.append_column(c, pc.fill_null(ind, 0))
-        df = out.to_pandas().groupby(key_col, dropna=False,
-                                     sort=False).sum().reset_index()
-        from calendar_event_entity_extraction_ray.stages.dedup import (
-            add_hash_column,
-        )
+        return add_hash_column(group_fold(out, [key_col], sums),
+                               [key_col], out_col="_ph")
 
-        return add_hash_column(
-            pa.Table.from_pandas(df, preserve_index=False), [key_col],
-            out_col="_ph")
-
-    def fold(t: pa.Table) -> pa.Table:
-        df = (t.drop_columns(["_ph"]).to_pandas()
-              .groupby(key_col, dropna=False, sort=False).sum()
-              .reset_index())
-        for c in cols:
-            df[c] = df[c].astype("int64")
-        return pa.Table.from_pandas(df, preserve_index=False)
-
+    from calendar_event_entity_extraction_ray.stages.dedup import (
+        add_hash_column,
+    )
     from calendar_event_entity_extraction_ray.stages.exchange import (
         hash_partition_map,
     )
 
+    sums = {c: (c, "sum") for c in cols}
     wide = ds.map_batches(indicators, batch_format="pyarrow")
-    return hash_partition_map(wide, "_ph", fold)
+    return hash_partition_map(wide, "_ph",
+                              lambda t: group_fold(t, [key_col], sums))
 
 
 def melt(
@@ -476,7 +409,6 @@ def melt(
     ``pivot_count``'s shape. Pure per-batch Arrow concat (zero shuffle,
     streams); the value columns are cast to float64 for a uniform value
     column (SQL UNION ALL oracle does the same)."""
-    import pyarrow.compute as pc
 
     def explode(b: pa.Table) -> pa.Table:
         parts = []
@@ -554,12 +486,10 @@ def cube_counts(
     finest level, all coarser sets from the bounded result."""
     from itertools import combinations
 
-    finest = grouped_sums(ds, cols, [], count_alias=out_col).to_pandas()
-    finest[out_col] = finest[out_col].astype("int64")
-    sets = [tuple(c for c in cols if c in combo)
-            for r in range(len(cols), -1, -1)
-            for combo in combinations(cols, r)]
-    return _grouping_sets(finest, cols, sets, out_col, grouping_col)
+    return grouping_sets_counts(
+        ds, cols, [combo for r in range(len(cols), -1, -1)
+                   for combo in combinations(cols, r)],
+        out_col, grouping_col)
 
 
 def rollup_counts(
@@ -577,29 +507,9 @@ def rollup_counts(
     coarser level re-aggregates the finest RESULT, which is bounded by
     the group-key cardinality, not the input — so the rollup costs one
     distributed aggregate plus driver-side pandas folds over kilobytes."""
-    finest = grouped_sums(ds, cols, [], count_alias=out_col).to_pandas()
-    finest[out_col] = finest[out_col].astype("int64")
-    frames = []
-    f0 = finest[cols + [out_col]].copy()
-    f0[grouping_col] = 0
-    frames.append(f0)
-    n_cols = len(cols)
-    for lvl in range(n_cols - 1, -1, -1):
-        keep, rolled = cols[:lvl], cols[lvl:]
-        gid = sum(1 << (n_cols - 1 - i) for i in range(lvl, n_cols))
-        if keep:
-            agg = (finest.groupby(keep, dropna=False)[out_col]
-                   .sum().reset_index())
-        else:
-            agg = pd.DataFrame({out_col: [int(finest[out_col].sum())]})
-        for c in rolled:
-            agg[c] = None
-        agg[grouping_col] = gid
-        frames.append(agg[cols + [out_col, grouping_col]])
-    out = pd.concat(frames, ignore_index=True)
-    out[out_col] = out[out_col].astype("int64")
-    out[grouping_col] = out[grouping_col].astype("int64")
-    return out
+    return grouping_sets_counts(
+        ds, cols, [tuple(cols[:n]) for n in range(len(cols), -1, -1)],
+        out_col, grouping_col)
 
 
 def string_agg_by_key(

@@ -16,9 +16,11 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 import ray.data
 
+from calendar_event_entity_extraction_ray.functions.dedup import group_fold
 from calendar_event_entity_extraction_ray.stages import keyedstate as ks
 
 STORE = ks.KeyedStore("_DCSTATE.json", "counts", "abs_k", "n", "sum",
@@ -58,21 +60,17 @@ def decayed_counter_epoch(
             if pa.types.is_timestamp(col.type):
                 col = col.cast(pa.timestamp("us"))
             ts = col.cast(pa.int64()).to_numpy(zero_copy_only=False)
-            df = pd.DataFrame({
-                key_col: b.column(key_col).to_numpy(zero_copy_only=False),
-                "abs_k": np.maximum(ts // hl_us, floor_k),
-            })
-            g = df.groupby([key_col, "abs_k"], dropna=False)
-            out = g.size().rename("n").reset_index()
-            out["n"] = out["n"].astype(np.int64)
-            return pa.Table.from_pandas(out, preserve_index=False)
+            t = pa.table({key_col: b.column(key_col),
+                          "abs_k": np.maximum(ts // hl_us, floor_k)})
+            return group_fold(t, [key_col, "abs_k"],
+                              {"n": (None, "count_all")})
 
         def old_clamp(b: pa.Table) -> pa.Table:
             # previous state rows re-enter the fold with abs_k re-clamped
             # to the NEW horizon (exact: see module docstring)
-            df = b.to_pandas()
-            df["abs_k"] = np.maximum(df["abs_k"].to_numpy(np.int64), floor_k)
-            return pa.Table.from_pandas(df, preserve_index=False)
+            i = b.schema.get_field_index("abs_k")
+            return b.set_column(i, "abs_k", pc.max_element_wise(
+                b.column(i), pa.scalar(floor_k, pa.int64())))
 
         return ds.map_batches(partial, batch_format="pyarrow"), old_clamp
 

@@ -31,6 +31,7 @@ import pyarrow.compute as pc
 
 import ray.data
 
+from calendar_event_entity_extraction_ray.functions.dedup import group_fold
 from calendar_event_entity_extraction_ray.stages.dedup import hash64_columns
 from calendar_event_entity_extraction_ray.stages.exchange import (
     SMALL_ROWS,
@@ -94,7 +95,7 @@ def _prepare(edges: "ray.data.Dataset", a_col: str, b_col: str, *,
         one = sym.repartition(1)
         if distinct:
             one = one.map_batches(
-                lambda t: t.group_by(["node", "dst"]).aggregate([]),
+                lambda t: group_fold(t, ["node", "dst"]),
                 batch_size=None, batch_format="pyarrow")
         return one, sch.types[0], None
     return sym, sch.types[0], (int(num_partitions) if num_partitions

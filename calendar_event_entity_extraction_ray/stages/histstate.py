@@ -22,6 +22,7 @@ import pyarrow as pa
 
 import ray.data
 
+from calendar_event_entity_extraction_ray.functions.dedup import group_fold
 from calendar_event_entity_extraction_ray.stages import keyedstate as ks
 
 STORE = ks.KeyedStore("_HISTSTATE.json", "hist", "bucket", "n", "sum")
@@ -50,10 +51,7 @@ def hist_epoch(
         t = pa.table({key_col: b.column(key_col),
                       "bucket": pa.array(cents // w, pa.int64(),
                                          mask=null)})
-        g = t.group_by([key_col, "bucket"]).aggregate([([], "count_all")])
-        return pa.table({key_col: g.column(key_col),
-                         "bucket": g.column("bucket"),
-                         "n": g.column("count_all").cast(pa.int64())})
+        return group_fold(t, [key_col, "bucket"], {"n": (None, "count_all")})
 
     return ks.run_epoch(
         STORE, state_dir, epoch, {"width_cents": w, "key_col": key_col},

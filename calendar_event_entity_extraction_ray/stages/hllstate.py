@@ -24,6 +24,7 @@ import pyarrow as pa
 
 import ray.data
 
+from calendar_event_entity_extraction_ray.functions.dedup import group_fold
 from calendar_event_entity_extraction_ray.stages import keyedstate as ks
 
 STORE = ks.KeyedStore("_HLLSTATE.json", "hll", "bucket", "rank", "max",
@@ -48,20 +49,19 @@ def _empty_registers() -> pd.DataFrame:
                          "rank": pd.Series(dtype="int64")})
 
 
-def hll_rows(keys, values, p: int) -> pd.DataFrame:
-    """Sparse HLL partial: (key, bucket, rank) with per-(key, bucket)
-    max rank — one vectorized pass. None values are skipped."""
-    df = pd.DataFrame({"k": keys, "v": values})
-    df = df[df["v"].notna()]
+def hll_rows(keys: pa.ChunkedArray, values: list, p: int) -> pa.Table:
+    """Sparse HLL partial: (k, bucket, rank) with per-(key, bucket) max
+    rank (``group_fold``) — one vectorized pass. None values are
+    skipped."""
+    v = pd.Series(values)
+    keep = v.notna().to_numpy()
     h = pd.util.hash_pandas_object(
-        df["v"].astype(str), index=False).to_numpy()  # uint64 siphash
-    bucket = (h >> np.uint64(64 - p)).astype(np.int64)
+        v[keep].astype(str), index=False).to_numpy()  # uint64 siphash
     rest = h & ((np.uint64(1) << np.uint64(64 - p)) - np.uint64(1))
-    rank = (64 - p) - _bit_length(rest) + 1
-    out = pd.DataFrame({"k": df["k"].to_numpy(), "bucket": bucket,
-                        "rank": rank})
-    return (out.groupby(["k", "bucket"], dropna=False, sort=False)
-            ["rank"].max().reset_index())
+    t = pa.table({"k": keys.filter(pa.array(keep)),
+                  "bucket": (h >> np.uint64(64 - p)).astype(np.int64),
+                  "rank": (64 - p) - _bit_length(rest) + 1})
+    return group_fold(t, ["k", "bucket"], {"rank": ("rank", "max")})
 
 
 def hll_estimate(buckets: np.ndarray, ranks: np.ndarray, p: int) -> float:
@@ -77,12 +77,10 @@ def hll_estimate(buckets: np.ndarray, ranks: np.ndarray, p: int) -> float:
 
 
 def _partials(ds, key_col: str, value_col: str, p: int):
-    def partial(b: pa.Table) -> pa.Table:
-        out = hll_rows(b.column(key_col).to_numpy(zero_copy_only=False),
-                       b.column(value_col).to_pylist(), p)
-        return pa.Table.from_pandas(out, preserve_index=False)
-
-    return ds.map_batches(partial, batch_format="pyarrow")
+    return ds.map_batches(
+        lambda b: hll_rows(b.column(key_col),
+                           b.column(value_col).to_pylist(), p),
+        batch_format="pyarrow")
 
 
 def _register_rows(ds, key_col: str, value_col: str, p: int,

@@ -37,6 +37,7 @@ import pyarrow.parquet as pq
 
 import ray.data
 
+from calendar_event_entity_extraction_ray.functions.dedup import group_fold
 from calendar_event_entity_extraction_ray.stages.dedup import add_hash_column
 from calendar_event_entity_extraction_ray.stages.exchange import (
     hash_partition_map,
@@ -113,16 +114,12 @@ def _state_rows(state_dir: str, state: dict) -> int:
 
 
 def merge_rows(store: KeyedStore, t: pa.Table, key: str) -> pa.Table:
-    """The fold kernel: per-(key, bucket) sum or max of the value,
-    sorted by (key, bucket); NULL groups are kept, as SQL's GROUP BY
-    keeps them."""
-    df = t.select([key, store.bucket, store.value]).to_pandas()
-    g = df.groupby([key, store.bucket], dropna=False, sort=True)
-    out = getattr(g[store.value], store.merge)().reset_index()
-    schema = pa.schema([t.schema.field(key),
-                        pa.field(store.bucket, pa.int64()),
-                        pa.field(store.value, pa.int64())])
-    return pa.Table.from_pandas(out, schema=schema, preserve_index=False)
+    """The fold kernel: per-(key, bucket) sum or max of the value
+    (``group_fold``), sorted by (key, bucket) with NULLs last; NULL
+    groups are kept, as SQL's GROUP BY keeps them."""
+    keys = [key, store.bucket]
+    return group_fold(t, keys, {store.value: (store.value, store.merge)}
+                      ).sort_by([(c, "ascending") for c in keys])
 
 
 def keyed_map(ds: "ray.data.Dataset", key: str,
@@ -171,10 +168,10 @@ def _fold_epoch(store: KeyedStore, state_dir: str, state: dict,
         return pa.table({"file": pa.array([rel], pa.string()),
                          "rows": pa.array([out.num_rows], pa.int64())})
 
-    res = keyed_map(parts, key, fold, num_partitions=P).to_pandas()
-    files = sorted(res["file"].tolist()) if "file" in res.columns else []
-    _commit_epoch(store, state_dir, state, epoch, files)
-    return int(res["rows"].sum()) if "rows" in res.columns else 0
+    res = keyed_map(parts, key, fold, num_partitions=P).take_all()
+    _commit_epoch(store, state_dir, state, epoch,
+                  sorted(r["file"] for r in res))
+    return sum(r["rows"] for r in res)
 
 
 def _commit_epoch(store: KeyedStore, state_dir: str, state: dict,

@@ -2,16 +2,17 @@
 
 Set operators differ from joins in one load-bearing way: NULLs compare
 EQUAL for membership (two ``(NULL, 'a')`` rows are the same element), so
-the fold groups with ``dropna=False`` instead of the joins' drop-null-key
-rule (SQL join equality never matches NULL; SQL set ops always do).
+the fold groups NULL with NULL (``functions/dedup.py:group_fold``) instead
+of the joins' drop-null-key rule (SQL join equality never matches NULL;
+SQL set ops always do).
 
 Plan shape: project each side to the compared columns, collapse each
 batch to per-element partial counts (one row per distinct element per
 batch — the set-op analogue of partial pre-aggregation), union the two
 datasets (zero-shuffle concatenation), ONE exchange on the full-row
 content hash (``stages/dedup.py:hash64_columns`` — dtype-canonicalized,
-process-stable), then a single vectorized groupby per partition sums the
-per-side counts. Equal rows co-locate by construction, so the fold is
+process-stable), then one ``group_fold`` per partition sums the per-side
+counts. Equal rows co-locate by construction, so the fold is
 exact; DISTINCT ops emit one row per qualifying element, ALL ops emit
 SQL's bag multiplicities (INTERSECT ALL = min(l, r) copies, EXCEPT ALL =
 max(l - r, 0)). Nothing driver-side grows with the input. The reference
@@ -24,10 +25,11 @@ from __future__ import annotations
 from typing import List
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 
 import ray.data
+
+from calendar_event_entity_extraction_ray.functions.dedup import group_fold
 
 _OPS = ("union", "intersect", "except",
         "union_all", "intersect_all", "except_all")
@@ -75,12 +77,12 @@ def set_op(
         def fn(b: pa.Table) -> pa.Table:
             t = b.select(cols)
             if pre_distinct:
-                t = t.group_by(cols).aggregate([([], "count_all")])
-                n = t.column("count_all")
-                t = t.drop_columns(["count_all"])
+                t = group_fold(t, cols, {"_n": (None, "count_all")})
+                n = t.column("_n")
+                t = t.drop_columns(["_n"])
             else:
-                n = pa.array([1] * t.num_rows, pa.int64())
-            zero = pa.array([0] * t.num_rows, pa.int64())
+                n = pa.array(np.ones(t.num_rows, np.int64))
+            zero = pa.array(np.zeros(t.num_rows, np.int64))
             t = t.append_column("_c0", n if side == 0 else zero)
             t = t.append_column("_c1", n if side == 1 else zero)
             return add_hash_column(t, cols, out_col="_rh")
@@ -91,21 +93,21 @@ def set_op(
         right.map_batches(tag(1), batch_format="pyarrow"))
 
     def fold(t: pa.Table) -> pa.Table:
-        df = t.to_pandas()
-        g = (df.groupby(cols, sort=False, dropna=False)[["_c0", "_c1"]]
-             .sum().reset_index())
-        c0 = g["_c0"].to_numpy(np.int64)
-        c1 = g["_c1"].to_numpy(np.int64)
+        g = group_fold(t, cols, {"_c0": ("_c0", "sum"),
+                                 "_c1": ("_c1", "sum")})
+        c0 = g.column("_c0").to_numpy()
+        c1 = g.column("_c1").to_numpy()
+        # copies of each element in the output
         if op == "union":
-            out = g[cols]
+            reps = np.ones(len(c0), np.int64)
         elif op == "intersect":
-            out = g.loc[(c0 > 0) & (c1 > 0), cols]
+            reps = (c0 > 0) & (c1 > 0)
         elif op == "except":
-            out = g.loc[(c0 > 0) & (c1 == 0), cols]
+            reps = (c0 > 0) & (c1 == 0)
         else:
             reps = (np.minimum(c0, c1) if op == "intersect_all"
                     else np.maximum(c0 - c1, 0))
-            out = g.loc[g.index.repeat(reps), cols]
-        return pa.Table.from_pandas(out, preserve_index=False)
+        return g.select(cols).take(
+            np.repeat(np.arange(len(c0)), reps.astype(np.int64)))
 
     return hash_partition_map(both, "_rh", fold)

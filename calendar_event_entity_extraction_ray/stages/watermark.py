@@ -69,6 +69,7 @@ import pyarrow.parquet as pq
 import ray
 import ray.data
 
+from calendar_event_entity_extraction_ray.functions.dedup import group_fold
 from calendar_event_entity_extraction_ray.state.manifest import (
     StateFile,
     pin_params,
@@ -123,6 +124,14 @@ def _write_shard(state_dir: str, subdir: str, part: int, prefix: str,
     write_parquet_atomic(
         table, os.path.join(state_dir, subdir, f"part={part}"), name)
     return os.path.join(subdir, f"part={part}", name)
+
+
+def _merge_windows(t: pa.Table, key_col: str) -> pa.Table:
+    """(key, window_start_us, n) with ``n`` summed per (key, window),
+    sorted by (key, window) with NULL keys last: the shard layout."""
+    keys = [key_col, "window_start_us"]
+    return group_fold(t, keys, {"n": ("n", "sum")}).sort_by(
+        [(c, "ascending") for c in keys])
 
 
 @ray.remote(num_cpus=1)
@@ -317,14 +326,9 @@ def tumbling_window_epoch(
         t = pa.table({key_col: keys,
                       "window_start_us": pa.array(starts, pa.int64()),
                       "ts_us": pa.array(ts_rep, pa.int64())})
-        g = t.group_by([key_col, "window_start_us"]).aggregate(
-            [("ts_us", "count"), ("ts_us", "max")])
-        out = pa.table({
-            key_col: g.column(key_col),
-            "window_start_us": g.column("window_start_us"),
-            "n": g.column("ts_us_count").cast(pa.int64()),
-            "max_ts_us": g.column("ts_us_max"),
-        })
+        out = group_fold(t, [key_col, "window_start_us"],
+                         {"n": (None, "count_all"),
+                          "max_ts_us": ("ts_us", "max")})
         return add_hash_column(out, [key_col], out_col="_kh")
 
     def pad_prev(b: pa.Table) -> pa.Table:
@@ -346,50 +350,29 @@ def tumbling_window_epoch(
         if t.num_rows == 0:
             return _empty_summary()
         part = int(t.column("_kh")[0].as_py()) % P
-        key_field = t.schema.field(key_col)
-        df = t.select([key_col, "window_start_us", "n",
-                       "max_ts_us"]).to_pandas()
-        mx = df["max_ts_us"].max()
-        max_src = None if pd.isna(mx) else int(mx)
+        mx = pc.max(t.column("max_ts_us")).as_py()
         if old_wm is not None:
-            late_m = (df["window_start_us"] + win_us
-                      <= old_wm).to_numpy()
+            late_m = pa.array(
+                t.column("window_start_us").to_numpy() + win_us <= old_wm)
         else:
-            late_m = np.zeros(len(df), dtype=bool)
-        schema = pa.schema([key_field,
-                            pa.field("window_start_us", pa.int64()),
-                            pa.field("n", pa.int64())])
-        n_late = int(df.loc[late_m, "n"].sum()) if late_m.any() else 0
+            late_m = pa.array(np.zeros(t.num_rows, dtype=bool))
+        late, on = t.filter(late_m), t.filter(pc.invert(late_m))
+        n_late = pc.sum(late.column("n")).as_py() or 0
         late_rel = ""
         if n_late and late_policy == "side_output":
-            lt = (df[late_m]
-                  .groupby([key_col, "window_start_us"], dropna=False,
-                           as_index=False)["n"].sum()
-                  .sort_values([key_col, "window_start_us"],
-                               kind="stable"))
             late_rel = _write_shard(
                 state_dir, os.path.join("late", f"epoch={epoch}"),
-                part, "l",
-                pa.Table.from_pandas(lt.reset_index(drop=True),
-                                     schema=schema,
-                                     preserve_index=False))
+                part, "l", _merge_windows(late, key_col))
         cand_rel = ""
-        on = df[~late_m]
-        if len(on):
-            merged = (on.groupby([key_col, "window_start_us"],
-                                 dropna=False, as_index=False)["n"].sum()
-                      .sort_values([key_col, "window_start_us"],
-                                   kind="stable"))
+        if on.num_rows:
             cand_rel = _write_shard(
                 state_dir, f"cand.epoch={epoch}", part, "c",
-                pa.Table.from_pandas(merged.reset_index(drop=True),
-                                     schema=schema,
-                                     preserve_index=False))
+                _merge_windows(on, key_col))
         return pa.table({"part": pa.array([part], pa.int64()),
                          "cand": pa.array([cand_rel], pa.string()),
                          "late": pa.array([late_rel], pa.string()),
                          "n_late": pa.array([n_late], pa.int64()),
-                         "max_wm_src": pa.array([max_src], pa.int64())})
+                         "max_wm_src": pa.array([mx], pa.int64())})
 
     # adaptive partitioning: hash_partition_map's small path folds tiny
     # states in ONE task (P-way spill of a few-thousand-row state costs
