@@ -7,7 +7,8 @@ forms). Slot semantics — 8 keys, None for missing, date/time normalized per
 augmentation/main.py:76-96 — are identical to the reference's output schema.
 
 ``EventGrammar`` compiles all patterns once; in the distributed pipeline it is
-constructed once per Ray actor (``ExtractEvents.__init__``), never per batch.
+constructed once per Ray worker process (``ExtractEvents.__init__`` behind
+the task-form instance cache), never per batch.
 
 Parse strategy per sentence (clauses are removed as they are recognized, so
 later, looser patterns cannot re-match earlier spans):
@@ -61,7 +62,7 @@ _TIME_FORMS = (
 
 
 class EventGrammar:
-    """Compiled grammar; construct once per process/actor."""
+    """Compiled grammar; construct once per process."""
 
     def __init__(self) -> None:
         self.note_re = re.compile(r"\s*\(note: (.*?)\)")

@@ -10,8 +10,8 @@ the small lookup side built by a grouped count) and pool-based substitution
   3. otherwise identity (the surface form is its own canonical)
 
 ``EntityLinker`` holds the dict + LSH index; in the pipeline it is built once
-per actor from a broadcast (``ray.put``) alias table — never re-shipped per
-batch.
+per worker process from a broadcast (``ray.put``) alias table — never
+re-shipped per batch.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ class EntityLinker:
             for v in vals:
                 self.lookup.setdefault((kind, v.strip().lower()), v)
 
-        # LSH blocking index over canonical vocab (small side; per-actor build)
+        # LSH blocking index over canonical vocab (small side; per-worker build)
         self.hasher = MinHasher(num_perm=num_perm)
         self.num_bands = num_bands
         self.buckets: Dict[Tuple[str, str], list] = defaultdict(list)

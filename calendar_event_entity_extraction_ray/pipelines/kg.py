@@ -4,18 +4,20 @@
       S1 html->text      zero-copy Arrow; drop html
       lang filter        vectorized predicate
       S2 event extract   compiled grammar + memoized dateutil
-      S3 triple emit     stateless explosion -> (subj, pred, obj, kind, url)
-      S4 entity link     broadcast alias dict + LSH fuzzy
+      S3 triple emit     columnar explosion -> (subj, pred, obj, kind, url)
+      S4 entity link     broadcast alias dict + LSH fuzzy, once per
+                         distinct (kind, surface) per batch
       S5 dedup           per-batch exact (subj,pred,obj) distinct (see
                          stages/dedup.py for why no shuffle is needed)
       S6 materialize     partition by hash(subj) % P -> per-partition
                          Parquet + manifest (resumable)
 
-S1..S5 run as ONE task-form batch UDF (``fused_kg_batch``); the stage
-functions stay individually testable. S6 and the delta appends spill
-through the exchange's phase 1 (``stages/exchange.py:spill_partitions``)
-and write every file with ``state/manifest.py:write_parquet_atomic``;
-their set operations (distinct, sort) and reads stay in Arrow.
+S1..S5 run as ONE task-form batch UDF (``FusedKgStage`` behind
+``stages/taskform.py:run_stage``); the stage functions stay individually
+testable. S6 and the delta appends spill through the exchange's phase 1
+(``stages/exchange.py:spill_partitions``) and write every file with
+``state/manifest.py:write_parquet_atomic``; their set operations
+(distinct, sort) and reads stay in Arrow.
 The pipeline is lazy end-to-end; nothing materializes except the final
 sink or the small aggregates.
 """
@@ -51,6 +53,10 @@ from calendar_event_entity_extraction_ray.stages.html_to_text import (
     html_to_text_batch,
 )
 from calendar_event_entity_extraction_ray.stages.link_entities import LinkEntities
+from calendar_event_entity_extraction_ray.stages.taskform import (
+    put_by_content,
+    run_stage,
+)
 from calendar_event_entity_extraction_ray.state import manifest as M
 
 
@@ -75,10 +81,6 @@ def extract_stage(
     batch_size: int | None = None,
 ) -> "ray.data.Dataset":
     """S1 + lang filter + S2: pages -> events dataset."""
-    from calendar_event_entity_extraction_ray.stages.taskform import (
-        run_stage,
-    )
-
     texted = pages.map_batches(html_to_text_batch, batch_format="pyarrow")
     en = texted.map_batches(filter_lang, batch_format="pyarrow")
     # task form with per-worker instance cache (stages/taskform.py):
@@ -93,7 +95,7 @@ def extract_stage(
 
 class FusedKgStage:
     """S1..S5 composed into ONE batch UDF (run task-based via
-    ``fused_kg_batch`` with a per-worker instance cache).
+    ``run_stage`` with a per-worker instance cache).
 
     The stage functions remain individually testable, but running them as
     separate Ray operators costs an object-store round-trip and a block
@@ -101,7 +103,7 @@ class FusedKgStage:
     composed stage is ~3x the throughput of the 3-operator version (rows
     are tiny, per-row compute is microseconds — block movement
     dominated). Setup (grammar compile, alias-dict fetch, LSH index
-    build) happens once per WORKER PROCESS via the fused_kg_batch cache
+    build) happens once per WORKER PROCESS via the run_stage cache
     (formerly once per actor; the task form removed pool spin-up —
     13.2s -> 8.1s at 32 cpus); the alias table arrives via a broadcast
     ObjectRef."""
@@ -114,27 +116,12 @@ class FusedKgStage:
     def __call__(self, batch: pa.Table) -> pa.Table:
         if self.gen_seed is not None and "id" in batch.column_names:
             # synthetic-source mode: the block is a range of page indices;
-            # render pages inside the same actor (no task->actor handoff)
+            # render pages inside the same task (no extra operator)
             batch = pages_table(batch.column("id").to_pylist(), seed=self.gen_seed)
         t = filter_lang(html_to_text_batch(batch))
         return dedup_triples_batch(
             self.link(emit_triples_batch(self.extract(t)))
         )
-
-
-_FUSED_CACHE: dict = {}
-
-
-def fused_kg_batch(batch: pa.Table, *, alias_ref=None,
-                   gen_seed: Optional[int] = None) -> pa.Table:
-    """Task-form of ``FusedKgStage`` — see kg_triples for why."""
-    key = (alias_ref.hex() if hasattr(alias_ref, "hex") else id(alias_ref),
-           gen_seed)
-    st = _FUSED_CACHE.get(key)
-    if st is None:
-        st = FusedKgStage(alias_ref=alias_ref, gen_seed=gen_seed)
-        _FUSED_CACHE[key] = st
-    return st(batch)
 
 
 def kg_triples(
@@ -144,7 +131,7 @@ def kg_triples(
     gen_seed: Optional[int] = None,  # synthetic-source mode: pages is a range of ids
 ) -> "ray.data.Dataset":
     """pages -> linked, deduped triples Dataset (lazy): S1..S5 as ONE
-    task-form batch UDF (``fused_kg_batch``).
+    task-form batch UDF (``FusedKgStage`` behind ``run_stage``).
 
     Task-based with a per-worker-process state cache (same pattern as
     stages/dedup.py:jaccard_prefix_tokens_batch): Ray's pre-started
@@ -152,12 +139,15 @@ def kg_triples(
     cold run at 32 cpus), and the grammar / alias-dict / LSH-index setup
     still happens once per worker — tasks reuse worker processes, so
     this amortizes exactly like actor __init__. Task parallelism follows
-    the block count.
+    the block count. The alias rows are broadcast by content, so repeated
+    calls share one stage per worker.
     """
-    alias_ref = ray.put(alias_rows if alias_rows is not None else default_alias_rows())
+    alias_ref = put_by_content(
+        alias_rows if alias_rows is not None else default_alias_rows())
     return pages.map_batches(
-        fused_kg_batch,
-        fn_kwargs={"alias_ref": alias_ref, "gen_seed": gen_seed},
+        run_stage,
+        fn_kwargs={"_cls": FusedKgStage, "alias_ref": alias_ref,
+                   "gen_seed": gen_seed},
         batch_format="pyarrow",
         batch_size=batch_size,
     )

@@ -31,21 +31,11 @@ arbitrary-substring semantics, which gram hashing cannot express.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Iterable, List, Sequence
 
 import pyarrow as pa
 
 import ray
-
-# content-fingerprint -> ObjectRef of the broadcast phrase list (keeps
-# the object alive so the taskform per-worker automaton cache stays hot
-# across repeated calls with the same dictionary). Bounded LRU: an
-# unbounded memo would pin every dictionary a long-lived driver ever
-# used in plasma for the process lifetime — evicting the ref lets the
-# object store release superseded phrase lists.
-_PHRASE_REFS: "OrderedDict[str, object]" = OrderedDict()
-_PHRASE_REFS_MAX = 4
 
 
 def _build_aho(phrases: Sequence[str]):
@@ -179,24 +169,12 @@ def tag_documents(
                        "id_col": id_col})
     if mode != "automaton":
         raise ValueError(f"mode={mode!r}")
-    from .taskform import run_stage
+    from .taskform import put_by_content, run_stage
 
-    # memoize the broadcast by CONTENT: the taskform cache keys on the
-    # ObjectRef, so reusing the same ref for the same dictionary lets
-    # repeated calls skip the per-worker automaton rebuild (~1.5 s/worker
-    # at 50k phrases — the dominant one-time cost, see
-    # scripts/scale.py dicttag)
-    import hashlib
-
-    fp = hashlib.md5("\x00".join(plist).encode()).hexdigest()
-    ref = _PHRASE_REFS.get(fp)
-    if ref is None:
-        ref = ray.put(plist)
-        _PHRASE_REFS[fp] = ref
-        while len(_PHRASE_REFS) > _PHRASE_REFS_MAX:
-            _PHRASE_REFS.popitem(last=False)  # LRU evict -> plasma frees
-    else:
-        _PHRASE_REFS.move_to_end(fp)
+    # memoized by content: repeated calls with the same dictionary reuse
+    # the per-worker automaton (~1.5 s/worker at 50k phrases — the
+    # dominant one-time cost, see scripts/scale.py dicttag)
+    ref = put_by_content(plist)
     return ds.map_batches(
         run_stage, batch_format="pyarrow", batch_size=None,
         fn_kwargs={"_cls": AcTagger, "phrases_ref": ref,

@@ -1,20 +1,22 @@
-"""S2: grammar event extraction — stateful actor-pool stage.
+"""S2: grammar event extraction — stateful stage, run task-form.
 
 The reference's analogue is the fine-tuned-LLM decode loop hosted per
 process (src/infer.py:52-96); here the "model" is the compiled regex grammar
 plus memoized dateutil normalization (functions/extract.py), compiled ONCE
-per actor in ``__init__`` and reused across batches. The lru caches on
-``normalize_date``/``normalize_time`` are per-process, i.e. per actor —
-repeated surface forms (web text repeats heavily) hit the cache.
+in ``__init__`` and reused across batches: the stage runs as a task behind
+the per-worker instance cache (``stages/taskform.py:run_stage``), so that is
+once per worker process. The lru caches on
+``normalize_date``/``normalize_time`` are per-process too — repeated
+surface forms (web text repeats heavily) hit the cache.
 
 Output: one row per extracted event, carrying ``(event_id, url, warc_ts,
-event_ordinal, <8 slots>)``. ``warc_ts`` rides along only for the
-deterministic first-wins ordering of the downstream dedup.
+event_ordinal, <8 slots>)``. Each slot column is built straight from the
+grammar's event dicts; ``url`` and ``warc_ts`` are ``take``n from the page
+rows. ``warc_ts`` rides along only for the deterministic first-wins
+ordering of the downstream dedup.
 """
 
 from __future__ import annotations
-
-from typing import Any, Dict, List
 
 import pyarrow as pa
 
@@ -22,45 +24,31 @@ from calendar_event_entity_extraction_ray import TARGET_KEYS
 from calendar_event_entity_extraction_ray.functions.extract import EventGrammar
 from calendar_event_entity_extraction_ray.functions.textsig import event_id
 
+_SCHEMA = pa.schema(
+    [("event_id", pa.string()), ("url", pa.string()),
+     ("warc_ts", pa.timestamp("us")), ("event_ordinal", pa.int32())]
+    + [(k, pa.list_(pa.string()) if k == "attendees" else pa.string())
+       for k in TARGET_KEYS])
+
 
 class ExtractEvents:
-    """map_batches(ExtractEvents, concurrency=N, batch_size=B) actor."""
+    """map_batches(run_stage, fn_kwargs={"_cls": ExtractEvents})."""
 
     def __init__(self) -> None:
         self.grammar = EventGrammar()
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        urls = batch.column("url").to_pylist()
-        tss = batch.column("warc_ts").to_pylist()
-        texts = batch.column("text").to_pylist()
-
-        cols: Dict[str, List[Any]] = {
-            "event_id": [], "url": [], "warc_ts": [], "event_ordinal": [],
-            **{k: [] for k in TARGET_KEYS},
-        }
-        for url, ts, text in zip(urls, tss, texts):
-            for ev in self.grammar.extract_page(text or ""):
-                ordinal = ev.pop("event_ordinal")
-                cols["event_id"].append(event_id(url, ordinal))
-                cols["url"].append(url)
-                cols["warc_ts"].append(ts)
-                cols["event_ordinal"].append(ordinal)
-                for k in TARGET_KEYS:
-                    cols[k].append(ev.get(k))
-
-        return pa.table(
-            {
-                "event_id": pa.array(cols["event_id"], pa.string()),
-                "url": pa.array(cols["url"], pa.string()),
-                "warc_ts": pa.array(cols["warc_ts"], pa.timestamp("us")),
-                "event_ordinal": pa.array(cols["event_ordinal"], pa.int32()),
-                "action": pa.array(cols["action"], pa.string()),
-                "date": pa.array(cols["date"], pa.string()),
-                "time": pa.array(cols["time"], pa.string()),
-                "attendees": pa.array(cols["attendees"], pa.list_(pa.string())),
-                "location": pa.array(cols["location"], pa.string()),
-                "duration": pa.array(cols["duration"], pa.string()),
-                "recurrence": pa.array(cols["recurrence"], pa.string()),
-                "notes": pa.array(cols["notes"], pa.string()),
-            }
-        )
+        rows, ids, events = [], [], []
+        for i, (url, text) in enumerate(zip(batch.column("url").to_pylist(),
+                                            batch.column("text").to_pylist())):
+            page = self.grammar.extract_page(text or "")
+            events += page
+            rows += [i] * len(page)
+            ids += [event_id(url, ev["event_ordinal"]) for ev in page]
+        base = batch.select(["url", "warc_ts"]).take(pa.array(rows, pa.int64()))
+        return pa.Table.from_arrays(
+            [pa.array(ids, pa.string()), base.column("url"),
+             base.column("warc_ts")]
+            + [pa.array([ev[f.name] for ev in events], f.type)
+               for f in list(_SCHEMA)[3:]],  # event_ordinal + the slots
+            names=_SCHEMA.names).cast(_SCHEMA)

@@ -24,11 +24,40 @@ Usage::
     ds.map_batches(run_stage,
                    fn_kwargs={"_cls": ExtractEvents, **ctor_kwargs},
                    batch_format="pyarrow")
+
+A broadcast kwarg must come from ``put_by_content``: the cache keys on
+the ObjectRef, so a fresh ``ray.put`` per call would build (and keep) a
+new instance per worker on every call.
 """
 
 from __future__ import annotations
 
+import hashlib
+import pickle
+from collections import OrderedDict
+
+import ray
+
 _INSTANCE_CACHE: dict = {}
+# (node id, job id, content md5) -> ObjectRef. Bounded LRU: an unbounded
+# memo would pin every broadcast a long-lived driver ever used in plasma;
+# evicting the ref lets the object store release it. A new local cluster
+# has a new node id and a new connection to a running one a new job id,
+# so a ref from an earlier ``ray.init`` is never handed out again.
+_BROADCASTS: "OrderedDict[tuple, ray.ObjectRef]" = OrderedDict()
+_BROADCASTS_MAX = 4
+
+
+def put_by_content(value) -> "ray.ObjectRef":
+    """``ray.put(value)``, memoized by the content of ``value``."""
+    ctx = ray.get_runtime_context()
+    key = (ctx.get_node_id(), ctx.get_job_id(),
+           hashlib.md5(pickle.dumps(value)).hexdigest())
+    ref = _BROADCASTS.pop(key, None) or ray.put(value)
+    _BROADCASTS[key] = ref
+    while len(_BROADCASTS) > _BROADCASTS_MAX:
+        _BROADCASTS.popitem(last=False)
+    return ref
 
 
 def _key_part(v):
