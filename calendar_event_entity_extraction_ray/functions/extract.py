@@ -11,14 +11,15 @@ constructed once per Ray worker process (``ExtractEvents.__init__`` behind
 the task-form instance cache), never per batch.
 
 Parse strategy per sentence (clauses are removed as they are recognized, so
-later, looser patterns cannot re-match earlier spans):
+later, looser patterns cannot re-match earlier spans; each search first checks
+the current sentence for a literal it needs, a Hyperscan-style prefilter):
 
-    1. ``(note: ...)``            -> notes
-    2. ``repeating <vocab>``      -> recurrence (closed vocabulary)
-    3. ``for <N unit>``           -> duration
-    4. ``with <Name>, <Name>...`` -> attendees
-    5. ``[on] <date-form>``       -> date   (normalize_date, dayfirst)
-    6. ``[at] <time-form>``       -> time   (normalize_time, lstrip("0"))
+    1. ``(note: ...)``            -> notes      needs "(note: "
+    2. ``repeating <vocab>``      -> recurrence needs "repeating " (closed vocab)
+    3. ``for <N unit>``           -> duration   needs "for "
+    4. ``with <Name>, <Name>...`` -> attendees  needs "with "
+    5. ``[on] <date-form>``       -> date       needs a \\d (normalize_date)
+    6. ``[at] <time-form>``       -> time       needs a \\d, noon or midnight
     7. ``at|in|on|via|over <Loc>``-> location (surface form; linked later)
     8. ``<verb> a <action>``      -> action (closed vocabulary)
 
@@ -31,6 +32,7 @@ from __future__ import annotations
 import re
 from typing import Any, Dict, List, Optional
 
+from calendar_event_entity_extraction_ray import TARGET_KEYS
 from calendar_event_entity_extraction_ray.functions import grammar as G
 from calendar_event_entity_extraction_ray.functions.normalize import (
     normalize_date,
@@ -61,6 +63,14 @@ _TIME_FORMS = (
 )
 
 
+# Date/time searches start where a match can first begin: a date match has a
+# digit <= _DATE_BACK chars in, a time match a digit, noon or midnight <= 3
+# in; search(s, pos) still reads s[pos - 1] for \b, so the match is the same.
+_DIGIT_RE = re.compile(r"\d")  # the grammar's Unicode \d
+_DATE_BACK = len("on ") + max(map(len, G.MONTH_FULL + G.MONTH_ABBR)) + 1
+_TIME_BACK = len("at ")
+
+
 class EventGrammar:
     """Compiled grammar; construct once per process."""
 
@@ -88,40 +98,38 @@ class EventGrammar:
     def extract_sentence(self, sentence: str) -> Optional[Dict[str, Any]]:
         """Parse one sentence into the 8-slot dict, or None if no event."""
         s = sentence
-        if not self.date_re.search(s) and not self.time_re.search(s):
+        d = _DIGIT_RE.search(s)
+        if not self._date(s, d) and not self._time(s, d):
             return None
 
-        out: Dict[str, Any] = {k: None for k in (
-            "action", "date", "time", "attendees", "location",
-            "duration", "recurrence", "notes",
-        )}
+        out: Dict[str, Any] = dict.fromkeys(TARGET_KEYS)
 
-        m = self.note_re.search(s)
+        m = "(note: " in s and self.note_re.search(s)
         if m:
             out["notes"] = m.group(1)
             s = s[: m.start()] + s[m.end():]
 
-        m = self.rec_re.search(s)
+        m = "repeating " in s and self.rec_re.search(s)
         if m:
             out["recurrence"] = m.group(1)
             s = s[: m.start()] + s[m.end():]
 
-        m = self.dur_re.search(s)
+        m = "for " in s and self.dur_re.search(s)
         if m:
             out["duration"] = m.group(1)
             s = s[: m.start()] + s[m.end():]
 
-        m = self.att_re.search(s)
+        m = "with " in s and self.att_re.search(s)
         if m:
             out["attendees"] = m.group(1).split(", ")
             s = s[: m.start()] + s[m.end():]
 
-        m = self.date_re.search(s)
+        m = self._date(s, _DIGIT_RE.search(s))
         if m:
             out["date"] = normalize_date(m.group(1))
             s = s[: m.start()] + s[m.end():]
 
-        m = self.time_re.search(s)
+        m = self._time(s, _DIGIT_RE.search(s))
         if m:
             out["time"] = normalize_time(m.group(1))
             s = s[: m.start()] + s[m.end():]
@@ -136,6 +144,18 @@ class EventGrammar:
             out["action"] = m.group(1).lower()
 
         return out
+
+    def _date(self, s: str, d) -> Optional[re.Match]:
+        """``date_re.search(s)``; ``d`` is ``_DIGIT_RE.search(s)``."""
+        return d and self.date_re.search(s, max(0, d.start() - _DATE_BACK))
+
+    def _time(self, s: str, d) -> Optional[re.Match]:
+        """``time_re.search(s)``; ``d`` is ``_DIGIT_RE.search(s)``."""
+        firsts = [i for i in (s.find("noon"), s.find("midnight"),
+                              d.start() if d else -1) if i >= 0]
+        if not firsts:
+            return None
+        return self.time_re.search(s, max(0, min(firsts) - _TIME_BACK))
 
     def extract_page(self, text: str) -> List[Dict[str, Any]]:
         """Extract all events from page text (one sentence per line).

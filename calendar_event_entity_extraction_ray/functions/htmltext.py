@@ -28,7 +28,6 @@ _BLOCK_RE = re.compile(
     re.IGNORECASE | re.DOTALL,
 )
 _TAG_RE = re.compile(r"<[^>]+>")
-_WS_RE = re.compile(r"\s+")
 
 _ENTITIES = [
     ("&lt;", "<"),
@@ -54,8 +53,11 @@ def html_to_text(html: bytes | str | None) -> str:
     html = _DROP_RE.sub("", html)
     parts = []
     for m in _BLOCK_RE.finditer(html):
-        inner = _TAG_RE.sub(" ", m.group(2))
-        inner = _WS_RE.sub(" ", _unescape(inner)).strip()
+        inner = m.group(2)
+        inner = _TAG_RE.sub(" ", inner) if "<" in inner else inner
+        inner = _unescape(inner) if "&" in inner else inner
+        # == re.sub(r"\s+", " ", inner).strip(): both use str.isspace
+        inner = " ".join(inner.split())
         if inner:
             parts.append(inner)
     return "\n".join(parts)

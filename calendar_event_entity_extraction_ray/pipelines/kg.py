@@ -1,8 +1,8 @@
 """Flagship pipeline: Common-Crawl-style pages -> knowledge-graph triples.
 
     pages (url, warc_ts, html, text, lang)
+      lang filter        vectorized predicate, first: S1 skips dropped pages
       S1 html->text      zero-copy Arrow; drop html
-      lang filter        vectorized predicate
       S2 event extract   compiled grammar + memoized dateutil
       S3 triple emit     columnar explosion -> (subj, pred, obj, kind, url)
       S4 entity link     broadcast alias dict + LSH fuzzy, once per
@@ -80,12 +80,12 @@ def extract_stage(
     pages: "ray.data.Dataset",
     batch_size: int | None = None,
 ) -> "ray.data.Dataset":
-    """S1 + lang filter + S2: pages -> events dataset."""
-    texted = pages.map_batches(html_to_text_batch, batch_format="pyarrow")
-    en = texted.map_batches(filter_lang, batch_format="pyarrow")
+    """lang filter + S1 + S2: pages -> events dataset."""
+    en = pages.map_batches(filter_lang, batch_format="pyarrow")
+    texted = en.map_batches(html_to_text_batch, batch_format="pyarrow")
     # task form with per-worker instance cache (stages/taskform.py):
     # grammar compiles once per worker, no pool spin-up
-    return en.map_batches(
+    return texted.map_batches(
         run_stage,
         fn_kwargs={"_cls": ExtractEvents},
         batch_format="pyarrow",
@@ -118,7 +118,7 @@ class FusedKgStage:
             # synthetic-source mode: the block is a range of page indices;
             # render pages inside the same task (no extra operator)
             batch = pages_table(batch.column("id").to_pylist(), seed=self.gen_seed)
-        t = filter_lang(html_to_text_batch(batch))
+        t = html_to_text_batch(filter_lang(batch))
         return dedup_triples_batch(
             self.link(emit_triples_batch(self.extract(t)))
         )

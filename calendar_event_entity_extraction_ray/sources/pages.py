@@ -12,6 +12,8 @@ Produces, per page:
     the golden byte-identical extraction target, and
   - the golden event-slot records with CANONICAL entities (post-linking
     ground truth for the P/R >= 0.95 gate).
+``synth_page`` returns both; ``pages_table`` (the pipeline's source) makes
+the same draws but renders the records only, with no golden slots.
 
 Knobs baked in (SURVEY.md §7, FIXTURES.md):
   - hub-entity skew: ~30% of events land on HUB_LOCATIONS ("HQ", "Zoom");
@@ -51,6 +53,8 @@ _NON_EN = {
     "fr": "Bienvenue sur notre site. Le calendrier est indisponible pour le moment et les rendez-vous suivront.",
     "es": "Bienvenido a nuestro sitio. El calendario no está disponible y las citas llegarán pronto.",
 }
+_COLUMNS = ("url", "warc_ts", "html", "text", "lang")
+_TYPES = (pa.string(), pa.timestamp("us"), pa.binary(), pa.string(), pa.string())
 
 
 def _escape(s: str) -> str:
@@ -64,40 +68,42 @@ def _pick_article(action: str) -> str:
     return "an" if action[0] in "aeiou" else "a"
 
 
-def _make_event(rng: random.Random) -> Tuple[str, Dict[str, Any]]:
-    """One event sentence + its golden canonical slots."""
+def _alias_candidates(aliases: Dict[str, str]) -> Dict[str, List[str]]:
+    """canonical -> its alias surfaces, in sorted-alias order."""
+    return {c: [a for a in sorted(aliases) if aliases[a] == c] for c in aliases.values()}
+
+
+_PERSON_CANDS = _alias_candidates(G.PERSON_ALIASES)
+_PLACE_CANDS = _alias_candidates(G.PLACE_ALIASES)
+_FUZZY_CANDS = _alias_candidates(G.FUZZY_SURFACES)
+
+
+def _draw_event(rng: random.Random) -> Tuple[str, Dict[str, Any]]:
+    """One event sentence + its slot draws (date/time raw: ``_golden_slots``)."""
     action = rng.choice(G.ACTIONS)
     verb = rng.choice(G.LEAD_VERBS)
 
     dt = _BASE_TS + timedelta(days=rng.randint(-180, 180))
     date_style = rng.randint(0, 5)
     date_text = G.format_date_text(dt, date_style)
-    # Golden slot value follows the REFERENCE's normalization of the surface
-    # form (dateutil dayfirst=True, augmentation/main.py:76-84) — e.g. the
-    # ambiguous ISO "2025-06-03" normalizes to 06/03/2025 under dayfirst.
-    # Computed analytically (sweep-verified == normalize_date) — dateutil in
-    # the generator hot loop was 1/3 of page-render cost.
-    date_json = G.expected_normalized_date(dt, date_style)
 
-    tdt = dt.replace(hour=rng.randint(7, 20), minute=rng.choice([0, 0, 0, 10, 15, 30, 45, 50]))
+    tdt = dt.replace(hour=rng.randint(7, 20), minute=rng.choice((0, 0, 0, 10, 15, 30, 45, 50)))
     if rng.random() < 0.05:
         tdt = tdt.replace(hour=12, minute=0)
     time_style = rng.randint(0, 5)
     time_text = G.format_time_text(tdt, time_style)
-    time_json = G.format_time_json(tdt)
 
     # attendees: canonical golden + (possibly aliased) surface mention
     attendees_canon: List[str] | None = None
     att_surfaces: List[str] = []
     if rng.random() < 0.6:
-        n_att = rng.choices([1, 2, 3], weights=[4, 3, 1])[0]
+        n_att = rng.choices((1, 2, 3), cum_weights=(4, 7, 8))[0]
         attendees_canon = []
-        alias_items = sorted(G.PERSON_ALIASES.items())
         for _ in range(n_att):
             if rng.random() < 0.55:
                 canon = rng.choice(G.FIRST_NAMES)
                 if rng.random() < 0.2:
-                    cands = [a for a, c in alias_items if c == canon]
+                    cands = _PERSON_CANDS.get(canon)
                     surface = rng.choice(cands) if cands else canon
                 else:
                     surface = canon
@@ -122,14 +128,11 @@ def _make_event(rng: random.Random) -> Tuple[str, Dict[str, Any]]:
             location_canon = rng.choice(G.PLACES_LOWER)
         loc_surface = location_canon
         r2 = rng.random()
-        if r2 < 0.15:
-            cands = [a for a, c in sorted(G.PLACE_ALIASES.items()) if c == location_canon]
-            if cands:
-                loc_surface = rng.choice(cands)
-        elif r2 < 0.20:
-            cands = [a for a, c in sorted(G.FUZZY_SURFACES.items()) if c == location_canon]
-            if cands:
-                loc_surface = rng.choice(cands)
+        cands = (_PLACE_CANDS.get(location_canon) if r2 < 0.15
+                 else _FUZZY_CANDS.get(location_canon) if r2 < 0.20
+                 else None)
+        if cands:
+            loc_surface = rng.choice(cands)
 
     duration: str | None = None
     if rng.random() < 0.5:
@@ -168,45 +171,50 @@ def _make_event(rng: random.Random) -> Tuple[str, Dict[str, Any]]:
         sent = (f"Could you {verb.lower()} {art} {action}{loc_clause} on {date_text}"
                 f" at {time_text}{att_clause}{dur_clause}{rec_clause}{note_clause}?")
 
-    slots = {
+    return sent, {
         "action": action,
-        "date": date_json,
-        "time": time_json,
+        "date": (dt, date_style),  # normalized by _golden_slots
+        "time": tdt,
         "attendees": attendees_canon,
         "location": location_canon,
         "duration": duration,
         "recurrence": recurrence,
         "notes": notes,
     }
-    return sent, slots
+
+
+def _golden_slots(draws: Dict[str, Any]) -> Dict[str, Any]:
+    """Golden slots of one ``_draw_event``; the date is the REFERENCE's dayfirst
+    normalization (augmentation/main.py:76-84), computed without dateutil."""
+    return {**draws, "date": G.expected_normalized_date(*draws["date"]),
+            "time": G.format_time_json(draws["time"])}
 
 
 def _page_content(i: int, seed: int) -> Tuple[str, List[str], List[Dict[str, Any]], str]:
-    """(title, sentences(+boiler), golden event slots, lang) for page i."""
+    """(title, sentences(+boiler), event draws, lang) for page i."""
     rng = random.Random(f"pages:{seed}:{i}")
     if rng.random() < 0.05:
         lang = rng.choice(sorted(_NON_EN))
         return rng.choice(_TITLES), [_NON_EN[lang]], [], lang
     title = rng.choice(_TITLES)
-    n_events = rng.choices([1, 2, 3], weights=[5, 3, 1])[0]
+    n_events = rng.choices((1, 2, 3), cum_weights=(5, 8, 9))[0]
     body: List[str] = []
-    events: List[Dict[str, Any]] = []
-    for j in range(n_events):
-        sent, slots = _make_event(rng)
-        slots["event_ordinal"] = j
+    draws: List[Dict[str, Any]] = []
+    for _ in range(n_events):
+        sent, d = _draw_event(rng)
         body.append(sent)
-        events.append(slots)
+        draws.append(d)
     if rng.random() < 0.5:
         body.append(rng.choice(_BOILERPLATE))
-    return title, body, events, "en"
+    return title, body, draws, "en"
 
 
-def synth_page(i: int, seed: int = 42) -> Tuple[Dict[str, Any], List[Dict[str, Any]]]:
-    """Build page record i plus its golden canonical event-slot records."""
+def _render(i: int, seed: int) -> Tuple[tuple, List[Dict[str, Any]]]:
+    """Page i as a ``_COLUMNS`` row, plus its events' draws."""
     rng = random.Random(f"page-meta:{seed}:{i}")
     # ~4% exact-content duplicates of the previous page (different url/ts)
     content_ix = i - 1 if (i > 0 and rng.random() < 0.04) else i
-    title, body, events, lang = _page_content(content_ix, seed)
+    title, body, draws, lang = _page_content(content_ix, seed)
 
     url = f"https://site{i % 101}.example.org/events/{i}"
     warc_ts = _BASE_TS + timedelta(seconds=i * 37 + (i % 13))
@@ -221,29 +229,21 @@ def synth_page(i: int, seed: int = 42) -> Tuple[Dict[str, Any], List[Dict[str, A
         f"<footer>&copy; 2025 site{i % 101}.example.org</footer>\n"
         "</body></html>"
     ).encode("utf-8")
+    return (url, warc_ts, html, text, lang), draws
 
-    page = {"url": url, "warc_ts": warc_ts, "html": html, "text": text, "lang": lang}
-    golden = [
-        {"url": url, **slots}
-        for slots in events
-    ]
-    return page, golden
+
+def synth_page(i: int, seed: int = 42) -> Tuple[Dict[str, Any], List[Dict[str, Any]]]:
+    """Build page record i plus its golden canonical event-slot records."""
+    row, draws = _render(i, seed)
+    page = dict(zip(_COLUMNS, row))
+    return page, [{"url": page["url"], **_golden_slots(d), "event_ordinal": j}
+                  for j, d in enumerate(draws)]
 
 
 def pages_table(indices, seed: int = 42) -> pa.Table:
-    """Arrow pages table for the given page indices (batch-generator body)."""
-    cols: Dict[str, list] = {"url": [], "warc_ts": [], "html": [], "text": [], "lang": []}
-    for i in indices:
-        page, _ = synth_page(int(i), seed)
-        for k in cols:
-            cols[k].append(page[k])
-    return pa.table(
-        {
-            "url": pa.array(cols["url"], pa.string()),
-            "warc_ts": pa.array(cols["warc_ts"], pa.timestamp("us")),
-            "html": pa.array(cols["html"], pa.binary()),
-            "text": pa.array(cols["text"], pa.string()),
-            "lang": pa.array(cols["lang"], pa.string()),
-        }
-    )
-
+    """Arrow pages table for the given page indices (batch-generator body):
+    rows equal ``synth_page(i)[0]``, rendered without the golden slots."""
+    rows = [_render(int(i), seed)[0] for i in indices]
+    cols = list(zip(*rows)) or [()] * len(_COLUMNS)
+    return pa.table({name: pa.array(col, typ) for name, col, typ
+                     in zip(_COLUMNS, cols, _TYPES)})

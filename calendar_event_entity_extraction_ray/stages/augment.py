@@ -125,7 +125,7 @@ def synth_records_batch(indices, seed: int = 42) -> pa.Table:
     """Synthetic (event_text, slots) records — the reference's Faker synth
     (faker_synth.py:287-360) re-expressed with the shared grammar, one
     deterministic record per index (distributed over ray.data.range)."""
-    from calendar_event_entity_extraction_ray.sources.pages import _make_event
+    from calendar_event_entity_extraction_ray.sources.pages import _draw_event, _golden_slots
 
     rows = []
     # synth ids live in a disjoint high space: augmented variants use
@@ -136,6 +136,7 @@ def synth_records_batch(indices, seed: int = 42) -> pa.Table:
     base = 1 << 42
     for i in indices:
         rng = random.Random(f"synth:{seed}:{int(i)}")
-        sent, slots = _make_event(rng)
-        rows.append({"event_text": sent, "row_id": base + int(i), **slots})
+        sent, draws = _draw_event(rng)
+        rows.append({"event_text": sent, "row_id": base + int(i),
+                     **_golden_slots(draws)})
     return records_to_table(rows)

@@ -25,9 +25,9 @@ Usage::
                    fn_kwargs={"_cls": ExtractEvents, **ctor_kwargs},
                    batch_format="pyarrow")
 
-A broadcast kwarg must come from ``put_by_content``: the cache keys on
-the ObjectRef, so a fresh ``ray.put`` per call would build (and keep) a
-new instance per worker on every call.
+A broadcast kwarg should come from ``put_by_content``: the cache keys on
+the ObjectRef, so a fresh ``ray.put`` per call builds a new instance per
+worker on every call (the cache is a small LRU, so they do not pile up).
 """
 
 from __future__ import annotations
@@ -38,7 +38,10 @@ from collections import OrderedDict
 
 import ray
 
-_INSTANCE_CACHE: dict = {}
+# (stage class, kwargs) -> instance, a bounded LRU: knn, vecstore and
+# augmentation pass a fresh ``ray.put`` ref (a new key) on every call.
+_INSTANCE_CACHE: "OrderedDict[tuple, object]" = OrderedDict()
+_INSTANCE_MAX = 4
 # (node id, job id, content md5) -> ObjectRef. Bounded LRU: an unbounded
 # memo would pin every broadcast a long-lived driver ever used in plasma;
 # evicting the ref lets the object store release it. A new local cluster
@@ -71,8 +74,10 @@ def _key_part(v):
 def run_stage(batch, *, _cls, **kwargs):
     key = (_cls.__module__, _cls.__qualname__,
            tuple((k, _key_part(v)) for k, v in sorted(kwargs.items())))
-    st = _INSTANCE_CACHE.get(key)
+    st = _INSTANCE_CACHE.pop(key, None)
     if st is None:
         st = _cls(**kwargs)
-        _INSTANCE_CACHE[key] = st
+    _INSTANCE_CACHE[key] = st
+    while len(_INSTANCE_CACHE) > _INSTANCE_MAX:
+        _INSTANCE_CACHE.popitem(last=False)
     return st(batch)
